@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import DomainError
+
 
 def frac_to_float(q: Fraction) -> float:
     """Convert an exact rational to float, surviving operands beyond 1e308.
@@ -36,9 +38,9 @@ def parse_bits(bits) -> tuple[int, ...]:
         seq = [c for c in bits]
         bad = [c for c in seq if c not in ("0", "1")]
         if bad:
-            raise ValueError(f"bit string may contain only 0 and 1, got {bits!r}")
+            raise DomainError(f"bit string may contain only 0 and 1, got {bits!r}")
         return tuple(int(c) for c in seq)
     out = tuple(int(b) for b in bits)
     if any(b not in (0, 1) for b in out):
-        raise ValueError(f"bits must be 0/1, got {bits!r}")
+        raise DomainError(f"bits must be 0/1, got {bits!r}")
     return out

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -90,11 +92,14 @@ def _parse_t_spec(spec: str) -> list[int]:
     out: list[int] = []
     for part in spec.split(","):
         part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            out.append(int(part))
+        try:
+            if ".." in part:
+                lo, hi = part.split("..", 1)
+                out.extend(range(int(lo), int(hi) + 1))
+            elif part:
+                out.append(int(part))
+        except ValueError:
+            raise DomainError(f"t specification {spec!r}: {part!r} is not an integer or lo..hi range")
     if not out:
         raise DomainError(f"empty t specification {spec!r}")
     return out
@@ -311,13 +316,33 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _run_to_file(args) -> int:
+    """Run the command into a temporary file beside --out, renamed over it on success.
+
+    A failing command leaves neither a partial file nor a changed one.
+    """
+    target = os.path.abspath(args.out)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".ghostmeasure-", suffix=".tmp")
+    try:
+        with open(fd, "w") as fh:
+            # mkstemp creates the file 0600; give it the mode open() would.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
+            code = args.fn(args, fh)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if getattr(args, "out", None):
-            with open(args.out, "w") as fh:
-                return args.fn(args, fh)
+            return _run_to_file(args)
         return args.fn(args, sys.stdout)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

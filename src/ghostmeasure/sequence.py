@@ -12,13 +12,18 @@ The self-similar behaviour lives on the fundamental regions, the index
 blocks [2^N, 2^{N+1}).  With A = A0 + A1 and b = b0 + b1 the region sum
 Sigma(N) = sum over the Nth region has the closed form
 
-    Sigma(N) = b * 2^(N-1)                          A = 0  (N >= 1)
+    Sigma(N) = f(1)                                 N = 0
+             = b * 2^(N-1)                          A = 0, N >= 1
              = f(1) + b * (2^N - 1)                 A = 1
              = 2^N * f(1) + b * N * 2^(N-1)         A = 2
              = A^N * f(1) + b * (A^N - 2^N)/(A-2)   A > 2
 
-obtained by iterating Sigma(N) = A*Sigma(N-1) + b*2^(N-1).  The normalised
-sum sigma(N) = Sigma(N)/A^N converges for A > 2 to f(1) + b/(A-2).
+obtained by iterating Sigma(N) = A*Sigma(N-1) + b*2^(N-1).  The same
+recurrence governs every block of the comb: the 2^c values c digits below
+an index where f = F sum to the closed form above with f(1) replaced by F
+and N by c, so every dyadic block sum costs O(1) big-integer operations.
+The normalised sum sigma(N) = Sigma(N)/A^N converges for A > 2 to
+f(1) + b/(A-2).
 
 All values are exact: big integers for f and Sigma, Fraction for sigma.
 """
@@ -109,12 +114,8 @@ def eval_f(params: AffineParams, n: int) -> int:
     return v
 
 
-def eval_region(params: AffineParams, level: int, max_level: Optional[int] = None) -> list[int]:
-    """[f(2^N), ..., f(2^{N+1}-1)] for N = level.
-
-    Built in linear time: every value of region N-1 spawns its two children,
-    so region N costs 2^N work rather than 2^N digit descents.
-    """
+def _check_level(level: int, max_level: Optional[int]) -> None:
+    """Reject a negative region level or one above the cap (2^N values)."""
     if level < 0:
         raise DomainError("region level must be >= 0")
     cap = max_region_level() if max_level is None else max_level
@@ -122,6 +123,15 @@ def eval_region(params: AffineParams, level: int, max_level: Optional[int] = Non
         raise ResourceCapError(
             f"region level {level} exceeds cap {cap} "
             f"(override with {_ENV_MAX_LEVEL} or max_level=)")
+
+
+def eval_region(params: AffineParams, level: int, max_level: Optional[int] = None) -> list[int]:
+    """[f(2^N), ..., f(2^{N+1}-1)] for N = level.
+
+    Built in linear time: every value of region N-1 spawns its two children,
+    so region N costs 2^N work rather than 2^N digit descents.
+    """
+    _check_level(level, max_level)
     a0, a1, b0, b1 = params.a0, params.a1, params.b0, params.b1
     region = [params.f1]
     for _ in range(level):
@@ -132,21 +142,27 @@ def eval_region(params: AffineParams, level: int, max_level: Optional[int] = Non
     return region
 
 
+def _block_sum(params: AffineParams, value: int, depth: int) -> int:
+    """Sum of f over the 2^depth indices `depth` digits below an index where f = value.
+
+    Iterates S(0) = value, S(c) = A*S(c-1) + b*2^(c-1) in closed form.
+    """
+    a, b, c = params.a, params.b, depth
+    if a == 0:
+        return b << (c - 1) if c else value
+    if a == 1:
+        return value + b * ((1 << c) - 1)
+    if a == 2:
+        return (value << c) + ((b * c << c) >> 1)
+    ac = a**c
+    return ac * value + b * (ac - (1 << c)) // (a - 2)
+
+
 def big_sigma(params: AffineParams, level: int) -> int:
     """Sigma(N): the exact sum of f over the Nth fundamental region."""
     if level < 0:
         raise DomainError("region level must be >= 0")
-    a, b, f1 = params.a, params.b, params.f1
-    n = level
-    if a == 0:
-        if n == 0:
-            raise DomainError("Sigma(0) is not covered by the closed form when A0+A1=0")
-        return b << (n - 1)
-    if a == 1:
-        return f1 + b * ((1 << n) - 1)
-    if a == 2:
-        return (f1 << n) + b * n * (1 << (n - 1)) if n >= 1 else f1
-    return a**n * f1 + b * (a**n - (1 << n)) // (a - 2)
+    return _block_sum(params, params.f1, level)
 
 
 def sigma_norm(params: AffineParams, level: int) -> Fraction:

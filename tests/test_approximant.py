@@ -1,8 +1,10 @@
 """Comb construction, direct Fourier sums, CDFs and interval masses."""
 
 import cmath
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from ghostmeasure import (
     AffineParams,
     DomainError,
     DyadicInterval,
+    ResourceCapError,
     build_comb,
     catalog_lookup,
     cdf,
@@ -200,3 +203,52 @@ def test_dyadic_interval_basics():
     assert str(e) == "011" and str(DyadicInterval()) == "(torus)"
     with pytest.raises(ValueError):
         DyadicInterval.from_bits("012")
+
+
+# ----------------------------------------------------------------------
+# closed forms against the materialised comb
+# ----------------------------------------------------------------------
+
+# Every coefficient tuple with entries 0..3 (A = 0, 1, 2 and > 2), plus
+# coefficients far beyond the double range.
+ORACLE_PARAMS = [AffineParams(*c, 1) for c in itertools.product(range(4), repeat=4) if any(c)] + [
+    AffineParams(2**80, 2**80 - 1, 0, 1, 1), AffineParams(2**80, 2**80, 0, 0, 1)]
+
+
+def test_closed_forms_match_materialised_comb():
+    for p in ORACLE_PARAMS:
+        for level in range(9):
+            comb = build_comb(p, level)
+            w, total, size = comb.weights, comb.total, 1 << level
+            assert total == sum(w)
+            brute = [Fraction(sum(w[: idx + 1]), total) for idx in range(size)]
+            assert [cdf(comb, Fraction(idx, size)) for idx in range(size)] == brute
+            assert cdf(comb, 1) == 1
+            for grid in (2, 3, 7, 30):
+                want = [(Fraction(k, grid - 1), brute[min(k * size // (grid - 1), size - 1)])
+                        for k in range(grid)]
+                assert cdf_series(comb, grid) == want
+            for depth in range(level + 1):
+                for idx in range(1 << depth):
+                    e = DyadicInterval.from_bits(format(idx, f"0{depth}b") if depth else "")
+                    lo = idx << (level - depth)
+                    hi = lo + (1 << (level - depth))
+                    assert interval_mass(comb, e) == Fraction(sum(w[lo:hi]), total)
+
+
+def test_comb_functionals_do_not_materialise_atoms():
+    comb = build_comb(catalog_lookup("identity").params, 26, max_level=26)
+    tracemalloc.start()
+    try:
+        rows = cdf_series(comb, 1024)
+        masses = [interval_mass(comb, DyadicInterval.from_bits(b)) for b in ("", "1", "0110", "1" * 26)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "weights" not in vars(comb)
+    assert peak < 4 << 20
+    assert rows[-1][1] == 1 and masses[0] == 1
+    # f(n) = n: the last atom is f(2^27 - 1)
+    assert masses[3] == Fraction((1 << 27) - 1, comb.total)
+    with pytest.raises(ResourceCapError):
+        build_comb(catalog_lookup("identity").params, 27, max_level=26)

@@ -89,6 +89,14 @@ def test_cdf_gould_G_strictly_increasing(capsys):
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
+def test_cdf_level_zero_constant(capsys):
+    # one atom of weight f(1) = 1 at 0, also when A0 + A1 = 0
+    code, out, _ = run_cli(capsys, "cdf", "--catalog", "constant", "--N", "0", "--grid", "2")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [float(f) for _, f in rows] == [1.0, 1.0]
+
+
 def test_cdf_resource_cap_exit_code(capsys):
     code, _, err = run_cli(capsys, "cdf", "--params", "2", "2", "0", "1", "1",
                            "--N", "30", "--grid", "4")
@@ -176,6 +184,14 @@ def test_interval_exact_output(capsys):
     assert code == 0 and out.startswith("mu_14(")
 
 
+def test_malformed_bits_and_t_exit_code(capsys):
+    code, _, err = run_cli(capsys, "interval", "--params", "2", "2", "0", "1", "1",
+                           "--bits", "012")
+    assert code == 2 and "domain error" in err
+    code, _, err = run_cli(capsys, "fourier", "--catalog", "identity", "--t", "1..x")
+    assert code == 2 and "domain error" in err
+
+
 def test_points_cumulative(capsys):
     code, out, _ = run_cli(capsys, "points", "--params", "3", "0", "0", "1", "1",
                            "--nmax", "10")
@@ -231,3 +247,14 @@ def test_io_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "cdf", "--catalog", "gould_G", "--N", "6",
                            "--grid", "4", "--out", "/nonexistent-dir/x.csv")
     assert code == 4 and "io error" in err
+
+
+def test_failed_command_leaves_out_untouched(tmp_path, capsys):
+    existing = tmp_path / "e.csv"
+    existing.write_bytes(b"keep\n")
+    for name, argv in (("g.csv", ["--catalog", "identity", "--N", "5"]),
+                       ("e.csv", ["--catalog", "constant", "--N", "0"])):
+        code, _, _ = run_cli(capsys, "cdf", *argv, "--grid", "1", "--out", str(tmp_path / name))
+        assert code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["e.csv"]
+    assert existing.read_bytes() == b"keep\n"

@@ -165,9 +165,10 @@ def test_big_sigma_examples():
     assert big_sigma(catalog_lookup("identity").params, 3) == 92
 
 
-def test_big_sigma_a_zero_level_zero_rejected():
-    with pytest.raises(DomainError):
-        big_sigma(catalog_lookup("constant").params, 0)
+def test_big_sigma_a_zero_level_zero_is_f1():
+    # A0 + A1 = 0: Sigma(0) is the lone value f(1), not b * 2^-1
+    p = catalog_lookup("constant").params
+    assert big_sigma(p, 0) == p.f1 == sum(eval_region(p, 0))
 
 
 def test_sigma_norm_and_limit():
