@@ -22,7 +22,6 @@ from .fourier import (
     kappa_1b,
     l2_norm_2b,
     magnitude_sq_1b,
-    viete_square_sum,
     wiener_average,
     wiener_profile,
 )
@@ -41,7 +40,7 @@ from .ghost import (
     ratio_sequence,
     ratio_sequence_exact,
 )
-from .linrep import LinearRepresentation, SpectralDiagnostic, build_linrep, eval_via_linrep, jsr_norm_bounds, spectral_diagnostic
+from .linrep import LinearRepresentation, SpectralDiagnostic, build_linrep, eval_via_linrep, spectral_diagnostic
 from .sequence import (
     AffineParams,
     CatalogEntry,

@@ -2,34 +2,20 @@
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
+import os
 
-from .errors import DomainError
+from .errors import DomainError, ResourceCapError
 
 
-def frac_to_float(q: Fraction) -> float:
-    """Convert an exact rational to float, surviving operands beyond 1e308.
-
-    Plain float(q) raises OverflowError once numerator or denominator exceeds
-    the double range even when the quotient itself is moderate; here the
-    quotient is rescaled by a power of two first (80 guard bits).
-    """
+def int_from_env(name: str, default: int) -> int:
+    """The integer in environment variable `name`, or `default` when it is unset."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
     try:
-        return float(q)
-    except OverflowError:
-        num, den = q.numerator, q.denominator
-        sign = -1.0 if num < 0 else 1.0
-        num = abs(num)
-        e = num.bit_length() - den.bit_length()
-        if e >= 0:
-            m = (num << 80) // (den << e)
-        else:
-            m = (num << (80 - e)) // den
-        try:
-            return sign * math.ldexp(m, e - 80)
-        except OverflowError:
-            return sign * math.inf
+        return int(raw)
+    except ValueError:
+        raise ResourceCapError(f"{name} must be an integer, got {raw!r}")
 
 
 def parse_bits(bits) -> tuple[int, ...]:

@@ -22,7 +22,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import approximant, fourier, ghost, linrep, sequence
@@ -30,14 +29,8 @@ from .errors import DomainError, ResourceCapError
 
 
 def _fmt(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, bool):
+    if isinstance(v, (str, int)):
         return str(v)
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, Fraction):
-        v = float(v)
     return format(float(v), ".17g")
 
 
@@ -58,13 +51,6 @@ def _emit(header: list[str], rows: list[tuple], fmt: str, out) -> None:
         out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _pmap(fn, items, threads: int):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _add_params_opts(p: argparse.ArgumentParser) -> None:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--params", nargs=5, type=int, metavar=("A0", "A1", "B0", "B1", "F1"),
@@ -79,7 +65,7 @@ def _add_output_opts(p: argparse.ArgumentParser) -> None:
 
 def _add_threads_opt(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for per-row work (output order is fixed)")
+                   help="accepted for compatibility; has no effect (rows are computed in order)")
 
 
 def _resolve_params(args) -> sequence.AffineParams:
@@ -139,25 +125,18 @@ def _cmd_fourier(args, out) -> int:
     params = _resolve_params(args)
     ts = _parse_t_spec(args.t)
     if args.mode == "limit":
-        def one(t):
-            cv = fourier.coeff_limit(params, t, args.tol)
-            return (t, cv.value.real, cv.value.imag, abs(cv.value), cv.tail_bound)
-    elif args.mode == "recursive":
-        if args.N is None:
-            raise DomainError("--mode recursive requires --N")
-
-        def one(t):
-            v = fourier.coeff_recursive(params, args.N, t)
-            return (t, v.real, v.imag, abs(v), 0.0)
+        cvs = [fourier.coeff_limit(params, t, args.tol) for t in ts]
+        rows = [(t, cv.value.real, cv.value.imag, abs(cv.value), cv.tail_bound)
+                for t, cv in zip(ts, cvs)]
     else:
         if args.N is None:
-            raise DomainError("--mode direct requires --N")
-        comb = approximant.build_comb(params, args.N)
-
-        def one(t):
-            v = approximant.direct_fourier(comb, t)
-            return (t, v.real, v.imag, abs(v), 0.0)
-    rows = _pmap(one, ts, args.threads)
+            raise DomainError(f"--mode {args.mode} requires --N")
+        if args.mode == "recursive":
+            vs = [fourier.coeff_recursive(params, args.N, t) for t in ts]
+        else:
+            comb = approximant.build_comb(params, args.N)
+            vs = [approximant.direct_fourier(comb, t) for t in ts]
+        rows = [(t, v.real, v.imag, abs(v), 0.0) for t, v in zip(ts, vs)]
     _emit(["t", "re", "im", "abs", "tail_bound"], rows, args.format, out)
     return 0
 
@@ -184,12 +163,8 @@ def _cmd_density(args, out) -> int:
     if grid < 2 or grid & (grid - 1):
         raise DomainError("--grid must be a power of two >= 2")
     width = grid.bit_length() - 1
-
-    def one(k):
-        est = ghost.density(params, format(k, f"0{width}b"), args.depth)
-        return (k / grid, est.value, est.tail_bound)
-
-    rows = _pmap(one, range(grid), args.threads)
+    ests = (ghost.density(params, format(k, f"0{width}b"), args.depth) for k in range(grid))
+    rows = [(k / grid, est.value, est.tail_bound) for k, est in enumerate(ests)]
     _emit(["x", "g", "tail_bound"], rows, args.format, out)
     return 0
 
@@ -209,6 +184,8 @@ def _cmd_interval(args, out) -> int:
 
 def _cmd_points(args, out) -> int:
     params = _resolve_params(args)
+    if args.nmax < 0:
+        raise DomainError("--nmax must be >= 0")
     rows = []
     cumulative = Fraction(0)
     for n in range(args.nmax + 1):
@@ -221,6 +198,8 @@ def _cmd_points(args, out) -> int:
 
 
 def _cmd_jsr_table(args, out) -> int:
+    if args.sweep < 0:
+        raise DomainError("--sweep must be >= 0")
     rows = []
     for a0 in range(args.sweep + 1):
         for a1 in range(args.sweep + 1):

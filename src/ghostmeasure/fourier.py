@@ -32,11 +32,11 @@ exactly when the measure is continuous.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
+from ._util import int_from_env
 from .errors import DomainError, ResourceCapError
 from .ghost import classify
 from .sequence import AffineParams, sigma_inf, sigma_norm
@@ -79,20 +79,29 @@ def _unit_phase(t: int, n: int) -> complex:
         return complex(0.0, -1.0)
     if 4 * r == 3 * den:
         return complex(0.0, 1.0)
-    ang = TAU * math.ldexp(r, -n)
+    ang = TAU * (r / den)
     return complex(math.cos(ang), -math.sin(ang))
-
-
-def _factor(params: AffineParams, t: int, n: int) -> complex:
-    return (params.a0 + params.a1 * _unit_phase(t, n)) / params.a
 
 
 def _suffix_products(params: AffineParams, t: int, depth: int) -> list[complex]:
     """suffix[n] = prod_{j=n+1..depth} w_j(t), so suffix[0] is the full product."""
     suffix = [complex(1.0)] * (depth + 1)
     for n in range(depth, 0, -1):
-        suffix[n - 1] = _factor(params, t, n) * suffix[n]
+        suffix[n - 1] = (params.a0 + params.a1 * _unit_phase(t, n)) / params.a * suffix[n]
     return suffix
+
+
+def _indicator_sum(params: AffineParams, t: int, suffix: list[complex], k: int) -> complex:
+    """f(1) P_0 + sum_{n=1..k} 2^(n-1) (b0 + b1 e^{-2 pi i t/2^n}) / A^n * P_n.
+
+    P_n = suffix[n] is the suffix product; k is the last n the indicator
+    1{2^(n-1) | t} leaves alive (v2(t) + 1, capped by the level).
+    """
+    acc = params.f1 * suffix[0]
+    for n in range(1, k + 1):
+        coef = (1 << (n - 1)) * (params.b0 + params.b1 * _unit_phase(t, n)) / params.a**n
+        acc += coef * suffix[n]
+    return acc
 
 
 def coeff_recursive(params: AffineParams, level: int, t: int) -> complex:
@@ -111,24 +120,24 @@ def coeff_recursive(params: AffineParams, level: int, t: int) -> complex:
         return (params.b0 + params.b1 * _unit_phase(t, level)) / params.b
     if t == 0:
         return complex(1.0)
-    s_n = float(sigma_norm(params, level))
-    suffix = _suffix_products(params, t, level)
-    acc = params.f1 * suffix[0]
-    for n in range(1, min(level, _v2(t) + 1) + 1):
-        coef = (1 << (n - 1)) * (params.b0 + params.b1 * _unit_phase(t, n)) / params.a**n
-        acc += coef * suffix[n]
-    return acc / s_n
+    acc = _indicator_sum(params, t, _suffix_products(params, t, level), min(level, _v2(t) + 1))
+    return acc / float(sigma_norm(params, level))
 
 
 def _product_depth(params: AffineParams, t: int, tol: float) -> tuple[int, float]:
-    """Depth D and tail bound with sum_{n>D} amax 2 pi |t| / (A 2^n) < tol/2."""
+    """Depth D and tail bound with sum_{n>D} amax 2 pi |t| / (A 2^n) < min(tol, 1)/2.
+
+    DomainError when D or the bound leaves the double range (D > ~1000).
+    """
     amax = max(params.a0, params.a1)
-    a_val = _v2(t)
-    target = 4.0 * math.pi * amax * abs(t) / (params.a * tol)
-    depth = max(a_val + 8, 16)
-    if target > 1.0:
-        depth = max(depth, int(math.log2(target)) + 2)
-    tail = amax * TAU * abs(t) / (params.a * math.ldexp(1.0, depth))
+    depth = max(_v2(t) + 8, 16)
+    try:
+        target = 4.0 * math.pi * amax * abs(t) / (params.a * min(tol, 1.0))
+        if target > 1.0:
+            depth = max(depth, int(math.log2(target)) + 2)
+        tail = amax * TAU * abs(t) / (params.a * math.ldexp(1.0, depth))
+    except OverflowError:
+        raise DomainError("|t|/tol too large: the product depth leaves the double range") from None
     return depth, math.expm1(tail)
 
 
@@ -139,8 +148,12 @@ def coeff_limit(params: AffineParams, t: int, tol: float = 1e-12) -> CoeffValue:
     A <= 2 is exactly 0 off t = 0; homogeneous parameters give the bare
     product; the remaining inhomogeneous A >= 3 cases take the product
     plus the finite sum that the indicator leaves alive.
+
+    tail_bound bounds the truncation of the infinite product only; the
+    floating-point rounding of the D factors and of the finite sum is not
+    included in it.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tol must be > 0")
     if params.is_null_sequence:
         raise DomainError("sequence is identically zero (homogeneous with f(1)=0)")
@@ -152,10 +165,7 @@ def coeff_limit(params: AffineParams, t: int, tol: float = 1e-12) -> CoeffValue:
     suffix = _suffix_products(params, t, depth)
     if params.homogeneous:
         return CoeffValue(suffix[0], tail, depth)
-    acc = params.f1 * suffix[0]
-    for n in range(1, _v2(t) + 2):
-        coef = (1 << (n - 1)) * (params.b0 + params.b1 * _unit_phase(t, n)) / params.a**n
-        acc += coef * suffix[n]
+    acc = _indicator_sum(params, t, suffix, _v2(t) + 1)
     return CoeffValue(acc / float(sigma_inf(params)), tail, depth)
 
 
@@ -228,13 +238,7 @@ def kappa_1b(params: AffineParams, grid_size: int = 512, depth: int = 64) -> flo
 
 
 def max_wiener_level() -> int:
-    raw = os.environ.get(_ENV_MAX_WIENER)
-    if raw is None:
-        return DEFAULT_MAX_WIENER_LEVEL
-    try:
-        return int(raw)
-    except ValueError:
-        raise ResourceCapError(f"{_ENV_MAX_WIENER} must be an integer, got {raw!r}")
+    return int_from_env(_ENV_MAX_WIENER, DEFAULT_MAX_WIENER_LEVEL)
 
 
 def wiener_profile(params: AffineParams, levels: Iterable[int], tol: float = 1e-12) -> dict[int, float]:
@@ -288,24 +292,6 @@ def l2_norm_2b(params: AffineParams) -> Fraction:
         raise DomainError("L2 identity requires case 2B (A0=A1>1, b!=0)")
     a = params.a0
     return 1 + Fraction((params.b0 - params.b1) ** 2, 4) / (sigma_inf(params) ** 2 * (a * a - 1))
-
-
-def viete_square_sum(terms: int = 8192, depth: int = 52) -> float:
-    """sum_{c=0}^{terms-1} prod_{j=1..depth} cos^2(pi (c+1/2)/2^j).
-
-    Numeric witness for the identity behind the L2 computation: the full
-    sum equals 1/2, with tail below 1/(pi^2 * terms).
-    """
-    total = 0.0
-    for c in range(terms):
-        x = math.pi * (c + 0.5)
-        p = 1.0
-        for j in range(1, depth + 1):
-            p *= math.cos(math.ldexp(x, -j)) ** 2
-            if p == 0.0:
-                break
-        total += p
-    return total
 
 
 def coefficient_bracket(params: AffineParams, a_val: int) -> Fraction:

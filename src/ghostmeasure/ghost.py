@@ -42,12 +42,12 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .approximant import DyadicInterval
 from .errors import DomainError
-from .sequence import AffineParams, sigma_inf
-from ._util import frac_to_float, parse_bits
+from .sequence import AffineParams, eval_f, sigma_inf
+from ._util import parse_bits
 
 #: Seed used by the reproducible randomised diagnostics in the test suite.
 DEFAULT_WITNESS_SEED = 20250810
@@ -107,15 +107,6 @@ def classify(params: AffineParams) -> LebesgueClass:
     return LebesgueClass(MeasureKind.PURE_POINT, "2D", "dyadic-rationals")
 
 
-def _leading_value(params: AffineParams, bits: Sequence[int]) -> int:
-    """F = f((1 x1 ... xi)_2), folded branch by branch."""
-    v = params.f1
-    for x in bits:
-        a, b = params.branch(x)
-        v = a * v + b
-    return v
-
-
 def interval_measure(params: AffineParams, interval: DyadicInterval) -> Fraction:
     """mu(E) for a dyadic interval, exact.
 
@@ -131,7 +122,7 @@ def interval_measure(params: AffineParams, interval: DyadicInterval) -> Fraction
     if cls.kind is MeasureKind.PURE_POINT:
         raise DomainError(
             f"interval closed form requires A0>0 and A1>0 (case {cls.case} is pure point)")
-    f_lead = _leading_value(params, interval.bits)
+    f_lead = eval_f(params, (1 << interval.depth) | interval.index)
     shift = Fraction(params.b, params.a - 2)
     return (f_lead + shift) / (sigma_inf(params) * params.a**interval.depth)
 
@@ -159,7 +150,7 @@ def density(params: AffineParams, bits, depth: Optional[int] = None) -> DensityE
     den = Fraction(params.f1) + Fraction(params.b, 2 * a - 2)
     exact = num / den
     tail = Fraction(max(params.b0, params.b1), (a - 1) * a**d) / den
-    return DensityEstimate(frac_to_float(exact), frac_to_float(tail), exact)
+    return DensityEstimate(float(exact), float(tail), exact)
 
 
 def lambda_threshold(params: AffineParams) -> ConcentrationThreshold:
@@ -183,13 +174,19 @@ def lambda_threshold(params: AffineParams) -> ConcentrationThreshold:
 def ratio_sequence(params: AffineParams, bits) -> list[float]:
     """mu(E_j(x)) / lambda(E_j(x)) for j = 1..len(bits).
 
-    All intermediates are exact rationals; the final conversion rescales by
-    powers of two, so the sequence is safe far beyond the double range in
-    either direction.  In case 2B the ratios converge to the density at x;
+    All intermediates are exact rationals, converted once and correctly
+    rounded at the end: a ratio below the double range becomes 0.0, one
+    above it inf.  In case 2B the ratios converge to the density at x;
     in case 2C they collapse to zero or blow up according to the digit
     densities against lambda_threshold.
     """
-    return [frac_to_float(r) for r in ratio_sequence_exact(params, bits)]
+    out = []
+    for r in ratio_sequence_exact(params, bits):
+        try:
+            out.append(float(r))
+        except OverflowError:
+            out.append(math.inf if r > 0 else -math.inf)
+    return out
 
 
 def ratio_sequence_exact(params: AffineParams, bits) -> list[Fraction]:

@@ -28,9 +28,6 @@ log2(rho/rho*) separates the measure types: 1 over the Lebesgue-type and
 absolutely continuous cases (except that an inhomogeneous pair with one
 A_i = 0 and the other equal to 2 gives 0), strictly between 0 and 1 for
 the singular continuous cases, 0 for the pure-point ones.
-
-A brute-force bounded-depth norm bound for rho* is included as a test
-certificate only; the production path is the closed form above.
 """
 
 from __future__ import annotations
@@ -83,13 +80,6 @@ def _matvec(m: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
 
 
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n))
-
-
 def eval_via_linrep(rep: LinearRepresentation, n: int) -> int:
     """f(n) through the matrix product; independent arithmetic from eval_f."""
     if n < 1:
@@ -111,23 +101,3 @@ def spectral_diagnostic(params: AffineParams) -> SpectralDiagnostic:
     if rho_star == 0:
         raise DomainError("joint spectral radius is zero (all matrices nilpotent)")
     return SpectralDiagnostic(rho, rho_star, math.log2(rho / rho_star))
-
-
-def jsr_norm_bounds(params: AffineParams, max_depth: int = 8) -> list[float]:
-    """Certificate bounds: max over depth-D products of ||P||_inf^(1/D).
-
-    Each entry upper-bounds rho*; by submultiplicativity the subsequence at
-    doubling depths is non-increasing and tends to rho*.  Exponential in
-    depth, so only suitable as a small-depth test certificate.
-    """
-    if max_depth < 1:
-        raise DomainError("max_depth must be >= 1")
-    rep = build_linrep(params)
-    bounds = []
-    level = [rep.c0, rep.c1]
-    for depth in range(1, max_depth + 1):
-        norm = max(max(sum(abs(x) for x in row) for row in m) for m in level)
-        bounds.append(norm ** (1.0 / depth))
-        if depth < max_depth:
-            level = [_matmul(m, c) for m in level for c in (rep.c0, rep.c1)]
-    return bounds

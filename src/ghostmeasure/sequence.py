@@ -30,12 +30,12 @@ All values are exact: big integers for f and Sigma, Fraction for sigma.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
+from ._util import int_from_env
 from .errors import CatalogError, DomainError, ResourceCapError
 
 DEFAULT_MAX_LEVEL = 26
@@ -44,13 +44,7 @@ _ENV_MAX_LEVEL = "GHOSTMEASURE_MAX_LEVEL"
 
 def max_region_level() -> int:
     """Configured cap on the region level N (2^N values are materialised)."""
-    raw = os.environ.get(_ENV_MAX_LEVEL)
-    if raw is None:
-        return DEFAULT_MAX_LEVEL
-    try:
-        return int(raw)
-    except ValueError:
-        raise ResourceCapError(f"{_ENV_MAX_LEVEL} must be an integer, got {raw!r}")
+    return int_from_env(_ENV_MAX_LEVEL, DEFAULT_MAX_LEVEL)
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,37 @@ def test_threads_do_not_change_output(capsys):
         assert single == multi
 
 
+def test_fourier_limit_extreme_t_and_tol_exit_codes(capsys):
+    big_t = str(10**400)
+    for extra in (["--t", big_t], ["--t", "5", "--tol", "1e-320"], ["--t", "5", "--tol", "nan"],
+                  ["--t", "5", "--tol", "-1"], ["--t", str(2**1000)]):
+        code, out, err = run_cli(capsys, "fourier", "--catalog", "gould_G", "--mode", "limit", *extra)
+        assert code == 2 and out == "" and "domain error" in err, extra
+
+
+def test_fourier_limit_loose_tol_gives_finite_bound(capsys):
+    # a tol above 1 is taken as 1: the depth still covers |t| and the bound stays finite
+    t = str(10**10)
+    code, out, _ = run_cli(capsys, "fourier", "--catalog", "gould_G", "--t", t, "--tol", "1e300")
+    assert code == 0
+    _, ((_, re_loose, im_loose, _, bound),) = parse_csv(out)
+    assert 0.0 < float(bound) <= 0.5
+    code, out, _ = run_cli(capsys, "fourier", "--catalog", "gould_G", "--t", t)
+    _, ((_, re_tight, im_tight, _, _),) = parse_csv(out)
+    assert abs(complex(float(re_loose), float(im_loose))
+               - complex(float(re_tight), float(im_tight))) <= 2 * float(bound) + 1e-12
+
+
+def test_fourier_recursive_beyond_double_range_t(capsys):
+    # level 1100 phases have residues above 2^1024, which no double holds
+    code, out, _ = run_cli(capsys, "fourier", "--catalog", "identity", "--mode", "recursive",
+                           "--N", "1100", "--t", f"{3**700},{2**1099 + 1}")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 2
+    assert all(math.isfinite(float(r[3])) and float(r[3]) <= 1 + 1e-9 for r in rows)
+
+
 def test_fourier_json_format(capsys):
     code, out, _ = run_cli(capsys, "fourier", "--catalog", "identity", "--t", "1,2",
                            "--mode", "limit", "--format", "json")
@@ -208,6 +239,13 @@ def test_points_cumulative(capsys):
 def test_points_wrong_case(capsys):
     code, _, err = run_cli(capsys, "points", "--catalog", "identity", "--nmax", "4")
     assert code == 2 and "2D" in err
+
+
+def test_negative_counts_exit_code(capsys):
+    code, out, err = run_cli(capsys, "points", "--params", "3", "0", "0", "1", "1", "--nmax", "-3")
+    assert code == 2 and out == "" and "--nmax" in err
+    code, out, err = run_cli(capsys, "jsr-table", "--sweep", "-2")
+    assert code == 2 and out == "" and "--sweep" in err
 
 
 def test_jsr_table_pattern(capsys):

@@ -23,7 +23,6 @@ from ghostmeasure import (
     magnitude_sq_1b,
     sigma_inf,
     sigma_norm,
-    viete_square_sum,
     wiener_average,
     wiener_profile,
 )
@@ -263,6 +262,24 @@ def test_l2_norm_cantor_against_grid_integration():
         total += e * e
     grid = total / (1 << d)
     assert abs(float(grid) - float(l2_norm_2b(p))) <= 1e-4
+
+
+def viete_square_sum(terms: int = 8192, depth: int = 52) -> float:
+    """sum_{c=0}^{terms-1} prod_{j=1..depth} cos^2(pi (c+1/2)/2^j).
+
+    Numeric witness for the identity behind the L2 computation: the full
+    sum equals 1/2, with tail below 1/(pi^2 * terms).
+    """
+    total = 0.0
+    for c in range(terms):
+        x = math.pi * (c + 0.5)
+        p = 1.0
+        for j in range(1, depth + 1):
+            p *= math.cos(math.ldexp(x, -j)) ** 2
+            if p == 0.0:
+                break
+        total += p
+    return total
 
 
 def test_viete_square_sum_is_half():

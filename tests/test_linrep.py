@@ -12,7 +12,6 @@ from ghostmeasure import (
     classify,
     eval_f,
     eval_via_linrep,
-    jsr_norm_bounds,
     spectral_diagnostic,
 )
 
@@ -87,6 +86,33 @@ def test_spectral_closed_forms():
     assert spectral_diagnostic(AffineParams(0, 1, 2, 1, 1)).log_ratio == 1.0
     # homogeneous pure point
     assert spectral_diagnostic(AffineParams(5, 0, 0, 0, 1)).log_ratio == 0.0
+
+
+def _matmul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n))
+
+
+def jsr_norm_bounds(params: AffineParams, max_depth: int = 8) -> list[float]:
+    """Certificate bounds: max over depth-D products of ||P||_inf^(1/D).
+
+    Each entry upper-bounds rho*; by submultiplicativity the subsequence at
+    doubling depths is non-increasing and tends to rho*.  Exponential in
+    depth, so only suitable as a small-depth test certificate.
+    """
+    if max_depth < 1:
+        raise DomainError("max_depth must be >= 1")
+    rep = build_linrep(params)
+    bounds = []
+    level = [rep.c0, rep.c1]
+    for depth in range(1, max_depth + 1):
+        norm = max(max(sum(abs(x) for x in row) for row in m) for m in level)
+        bounds.append(norm ** (1.0 / depth))
+        if depth < max_depth:
+            level = [_matmul(m, c) for m in level for c in (rep.c0, rep.c1)]
+    return bounds
 
 
 def test_jsr_bounds_bracket_closed_form():
