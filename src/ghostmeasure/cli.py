@@ -18,6 +18,7 @@ or JSON records.  Exit codes: 0 ok, 2 domain error, 3 resource cap, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -221,7 +222,13 @@ def _cmd_jsr_table(args, out) -> int:
 # Parser and entry point
 # ----------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call.
+
+    parse_args keeps no state between calls (each returns a fresh
+    Namespace), so one parser serves any number of main() calls.
+    """
     top = argparse.ArgumentParser(prog="ghostmeasure", description=__doc__,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
@@ -317,8 +324,7 @@ def _run_to_file(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if getattr(args, "out", None):
             return _run_to_file(args)

@@ -183,7 +183,10 @@ def coeff_limit_2b(params: AffineParams, t: int) -> CoeffValue:
     a_val = _v2(t)
     b_odd = t >> a_val
     pref = Fraction(params.b0 - params.b1, 2) / (sigma_inf(params) * params.a0**(a_val + 1))
-    return CoeffValue(complex(0.0, -2.0 * float(pref) / (math.pi * b_odd)), 0.0, 0)
+    try:
+        return CoeffValue(complex(0.0, -2.0 * float(pref) / (math.pi * b_odd)), 0.0, 0)
+    except OverflowError:
+        raise DomainError("the odd part of t is beyond the double range") from None
 
 
 # ----------------------------------------------------------------------

@@ -134,6 +134,10 @@ def density(params: AffineParams, bits, depth: Optional[int] = None) -> DensityE
     prefix are taken to be 0 (terminating-expansion convention).  The tail
     of the series is bounded by max(b0,b1) / ((A-1) A^d) over the same
     denominator, reported in tail_bound.
+
+    One integer fold, one Fraction per value: v = f(1) A^d + sum_j b_{x_j}
+    A^(d-j) by Horner's rule, so the truncation is v (2A-2) / (A^d (f(1)
+    (2A-2) + b)) and the tail bound 2 max(b0,b1) over the same denominator.
     """
     cls = classify(params)
     if cls.case != "2B":
@@ -142,14 +146,15 @@ def density(params: AffineParams, bits, depth: Optional[int] = None) -> DensityE
     d = len(xs) if depth is None else depth
     if d < 0:
         raise DomainError("depth must be >= 0")
-    a = params.a0
-    num = Fraction(params.f1)
-    for j in range(1, d + 1):
-        x = xs[j - 1] if j <= len(xs) else 0
-        num += Fraction(params.b1 if x else params.b0, a**j)
-    den = Fraction(params.f1) + Fraction(params.b, 2 * a - 2)
-    exact = num / den
-    tail = Fraction(max(params.b0, params.b1), (a - 1) * a**d) / den
+    a, b0, b1 = params.a0, params.b0, params.b1
+    v = params.f1
+    for x in xs[:d]:
+        v = a * v + (b1 if x else b0)
+    for _ in range(d - len(xs)):
+        v = a * v + b0
+    den = a**d * (params.f1 * (2 * a - 2) + params.b)
+    exact = Fraction(v * (2 * a - 2), den)
+    tail = Fraction(2 * max(b0, b1), den)
     return DensityEstimate(float(exact), float(tail), exact)
 
 
@@ -174,11 +179,13 @@ def lambda_threshold(params: AffineParams) -> ConcentrationThreshold:
 def ratio_sequence(params: AffineParams, bits) -> list[float]:
     """mu(E_j(x)) / lambda(E_j(x)) for j = 1..len(bits).
 
-    All intermediates are exact rationals, converted once and correctly
-    rounded at the end: a ratio below the double range becomes 0.0, one
-    above it inf.  In case 2B the ratios converge to the density at x;
-    in case 2C they collapse to zero or blow up according to the digit
-    densities against lambda_threshold.
+    The exact ratios come from ratio_sequence_exact: one integer fold, one
+    Fraction per value, 2^j (v_j (A-2) + b) q / ((A-2) p A^j) with v_j the
+    value of f at the prefix (1 x1 .. xj)_2 and p/q = sigma_inf.  Each is
+    converted once and correctly rounded: a ratio below the double range
+    becomes 0.0, one above it inf.  In case 2B the ratios converge to the
+    density at x; in case 2C they collapse to zero or blow up according to
+    the digit densities against lambda_threshold.
     """
     out = []
     for r in ratio_sequence_exact(params, bits):
@@ -200,8 +207,7 @@ def ratio_sequence_exact(params: AffineParams, bits) -> list[Fraction]:
         raise DomainError(
             f"ratio sequence requires A0>0 and A1>0 (case {cls.case} is pure point)")
     a = params.a
-    shift = Fraction(params.b, a - 2)
-    s_inf = sigma_inf(params)
+    p, q = sigma_inf(params).as_integer_ratio()
     out = []
     v = params.f1
     apow = 1
@@ -209,7 +215,7 @@ def ratio_sequence_exact(params: AffineParams, bits) -> list[Fraction]:
         ab, bb = params.branch(x)
         v = ab * v + bb
         apow *= a
-        out.append(Fraction(2**j) * (v + shift) / (s_inf * apow))
+        out.append(Fraction((v * (a - 2) + params.b) * q << j, (a - 2) * p * apow))
     return out
 
 

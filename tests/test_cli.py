@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from ghostmeasure.cli import main
+from ghostmeasure.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -279,6 +279,39 @@ def test_csv_round_trip_bytes(tmp_path, capsys):
     for row in rows:
         regenerated += ",".join(format(float(v), ".17g") for v in row) + "\n"
     assert regenerated == text
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_keeps_no_state(tmp_path, capsys):
+    interval = ["interval", "--params", "1", "2", "0", "1", "1", "--bits", "0110"]
+    usage_error = ["density", "--catalog", "cantor"]  # neither --grid nor --bits
+    out_failure = ["cdf", "--catalog", "identity", "--N", "5", "--grid", "1",
+                   "--out", str(tmp_path / "g.csv")]
+    density = ["density", "--catalog", "cantor", "--grid", "16", "--depth", "20"]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def on_fresh_parser(argv):
+        build_parser.cache_clear()
+        return outcome(argv)
+
+    sequence = [interval, usage_error, out_failure, density, interval]
+    fresh = [on_fresh_parser(argv) for argv in sequence]
+    build_parser.cache_clear()
+    reused = [outcome(argv) for argv in sequence]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 2, 2, 0, 0]
+    assert reused[0][1] and reused[3][1].startswith("x,g,tail_bound\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_io_error_exit_code(capsys):

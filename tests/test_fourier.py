@@ -201,6 +201,14 @@ def test_2b_equal_offsets_vanish():
         coeff_limit_2b(IDENTITY, 0)
 
 
+def test_2b_odd_part_beyond_double_range():
+    # the value underflows towards zero, but the odd part itself has no double
+    assert coeff_limit_2b(IDENTITY, 3**600).value.imag > 0
+    for t in (3**700, -(3**700), 2**5 * 3**700):
+        with pytest.raises(DomainError):
+            coeff_limit_2b(IDENTITY, t)
+
+
 def test_2b_riemann_lebesgue_decay():
     # the decay envelope along both the a and b directions
     p = catalog_lookup("cantor").params
