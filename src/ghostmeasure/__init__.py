@@ -13,10 +13,12 @@ and point weights.
 from .approximant import Approximant, DyadicInterval, build_comb, cdf, cdf_series, direct_fourier, interval_mass
 from .errors import CatalogError, DomainError, ResourceCapError
 from .fourier import (
+    CoeffTable,
     CoeffValue,
     coeff_limit,
     coeff_limit_2b,
     coeff_recursive,
+    coeff_table,
     coefficient_bracket,
     domination_constant,
     kappa_1b,

@@ -21,11 +21,9 @@ def int_from_env(name: str, default: int) -> int:
 def parse_bits(bits) -> tuple[int, ...]:
     """Normalise a bit-string argument ('0110', b'…', or iterable of 0/1)."""
     if isinstance(bits, str):
-        seq = [c for c in bits]
-        bad = [c for c in seq if c not in ("0", "1")]
-        if bad:
+        if bits.strip("01"):
             raise DomainError(f"bit string may contain only 0 and 1, got {bits!r}")
-        return tuple(int(c) for c in seq)
+        return tuple(map(int, bits))
     out = tuple(int(b) for b in bits)
     if any(b not in (0, 1) for b in out):
         raise DomainError(f"bits must be 0/1, got {bits!r}")

@@ -125,19 +125,15 @@ def _cmd_cdf(args, out) -> int:
 def _cmd_fourier(args, out) -> int:
     params = _resolve_params(args)
     ts = _parse_t_spec(args.t)
-    if args.mode == "limit":
-        cvs = [fourier.coeff_limit(params, t, args.tol) for t in ts]
-        rows = [(t, cv.value.real, cv.value.imag, abs(cv.value), cv.tail_bound)
-                for t, cv in zip(ts, cvs)]
-    else:
-        if args.N is None:
-            raise DomainError(f"--mode {args.mode} requires --N")
-        if args.mode == "recursive":
-            vs = [fourier.coeff_recursive(params, args.N, t) for t in ts]
-        else:
-            comb = approximant.build_comb(params, args.N)
-            vs = [approximant.direct_fourier(comb, t) for t in ts]
+    if args.mode != "limit" and args.N is None:
+        raise DomainError(f"--mode {args.mode} requires --N")
+    if args.mode == "direct":
+        comb = approximant.build_comb(params, args.N)
+        vs = [approximant.direct_fourier(comb, t) for t in ts]
         rows = [(t, v.real, v.imag, abs(v), 0.0) for t, v in zip(ts, vs)]
+    else:
+        tab = fourier.coeff_table(params, ts, args.tol, args.N if args.mode == "recursive" else None)
+        rows = list(zip(ts, tab.re.tolist(), tab.im.tolist(), tab.abs.tolist(), tab.tail_bound.tolist()))
     _emit(["t", "re", "im", "abs", "tail_bound"], rows, args.format, out)
     return 0
 

@@ -27,6 +27,13 @@ accumulated phase e^{-i pi b/2}.
 The averaged squares W_N = 2^-N sum_{n=1..2^N} |mu^(n)|^2 decide the
 pure-point question: W_N -> sum of squared atom masses, which is zero
 exactly when the measure is continuous.
+
+Limit, recursive and Wiener tables all go through one batched kernel,
+coeff_table: the t are grouped by product depth into fixed-size blocks, and
+each block runs the product and the indicator sum in split real/imaginary
+float64 arrays with exactly the operations of CPython's complex arithmetic,
+so every value is bit-identical to the scalar formula for that t alone.
+tail_bound still covers only the truncation of the product, not rounding.
 """
 
 from __future__ import annotations
@@ -34,7 +41,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
+
+import numpy as np
 
 from ._util import int_from_env
 from .errors import DomainError, ResourceCapError
@@ -83,25 +92,268 @@ def _unit_phase(t: int, n: int) -> complex:
     return complex(math.cos(ang), -math.sin(ang))
 
 
-def _suffix_products(params: AffineParams, t: int, depth: int) -> list[complex]:
-    """suffix[n] = prod_{j=n+1..depth} w_j(t), so suffix[0] is the full product."""
-    suffix = [complex(1.0)] * (depth + 1)
-    for n in range(depth, 0, -1):
-        suffix[n - 1] = (params.a0 + params.a1 * _unit_phase(t, n)) / params.a * suffix[n]
-    return suffix
+# ----------------------------------------------------------------------
+# The batched coefficient kernel
+# ----------------------------------------------------------------------
+#
+# Every coefficient is evaluated in float64 re/im arrays with exactly the
+# operations CPython's complex arithmetic performs on the scalar formula:
+# an int operand is complex(v, 0.0), a product is _Py_c_prod and a division
+# by an int is _Py_c_quot.  numpy's complex128 is not used: its multiply is
+# FMA-contracted and its division differs from CPython's, so the values
+# would not be bit-identical to the scalar formula.
+
+# t per kernel call: the per-level temporaries are a few float64 arrays of
+# this length, so no depth x t phase array is ever formed.
+_BLOCK = 2048
+
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+_DEPTH_RANGE = "|t|/tol too large: the product depth leaves the double range"
+
+# e^{-2 pi i k/4}, k = 0..3: the quarter points that _unit_phase makes exact.
+_QUARTER_RE = np.array([1.0, 0.0, -1.0, 0.0])
+_QUARTER_IM = np.array([0.0, -1.0, 0.0, 1.0])
 
 
-def _indicator_sum(params: AffineParams, t: int, suffix: list[complex], k: int) -> complex:
-    """f(1) P_0 + sum_{n=1..k} 2^(n-1) (b0 + b1 e^{-2 pi i t/2^n}) / A^n * P_n.
+@dataclass(frozen=True, eq=False)
+class CoeffTable:
+    """Coefficients of a batch of t as float64 arrays: value parts, modulus and
+    truncation bound, with the int64 product depth of each t.
 
-    P_n = suffix[n] is the suffix product; k is the last n the indicator
-    1{2^(n-1) | t} leaves alive (v2(t) + 1, capped by the level).
+    Limit tables carry coeff_limit's tail_bound and depth (0 and 0 where no
+    product is truncated); recursive tables carry bound 0 and depth N.
     """
-    acc = params.f1 * suffix[0]
-    for n in range(1, k + 1):
-        coef = (1 << (n - 1)) * (params.b0 + params.b1 * _unit_phase(t, n)) / params.a**n
-        acc += coef * suffix[n]
-    return acc
+
+    re: np.ndarray
+    im: np.ndarray
+    abs: np.ndarray
+    tail_bound: np.ndarray
+    depth: np.ndarray
+
+
+def _mul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) as CPython's _Py_c_prod computes it."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _div(xr, xi, d: float):
+    """(xr + i xi) / complex(d, 0.0) as CPython's _Py_c_quot computes it."""
+    ratio = 0.0 / d
+    denom = d + 0.0 * ratio
+    return (xr + xi * ratio) / denom, (xi - xr * ratio) / denom
+
+
+def _residue_phases(t: np.ndarray):
+    """Phase source for int64 t: e^{-2 pi i t/2^n} for the first m t at level n.
+
+    Equals _unit_phase(t, n) wherever the residue r = t mod 2^n is an int64
+    and r/2^n is one correctly rounded scaling: t >= 0 with n <= 1022, and
+    t < 0 with n <= 63.
+    """
+    def phase(n: int, m: int):
+        r = t[:m] & ((1 << n) - 1) if n <= 63 else t[:m]
+        ang = TAU * (r.astype(np.float64) * math.ldexp(1.0, -n))
+        re, im = np.cos(ang), -np.sin(ang)
+        # r = k 2^(n-2) is a quarter point.  Testing r's low bits, not 4r
+        # (which overflows int64 from n = 61), keeps the test exact.
+        if n == 1:
+            hit, k = slice(None), r << 1
+        elif n <= 64:
+            hit = np.flatnonzero((r & ((1 << (n - 2)) - 1)) == 0)
+            k = r[hit] >> (n - 2)
+        else:
+            return re, im
+        re[hit] = _QUARTER_RE[k]
+        im[hit] = _QUARTER_IM[k]
+        return re, im
+
+    return phase
+
+
+def _python_phases(ts: list[int]):
+    """Phase source for the t _residue_phases cannot reproduce: _unit_phase per t."""
+    def phase(n: int, m: int):
+        zs = [_unit_phase(t, n) for t in ts[:m]]
+        return np.array([z.real for z in zs]), np.array([z.imag for z in zs])
+
+    return phase
+
+
+def _kernel(params: AffineParams, phase, depth: np.ndarray, k, norm: float):
+    """Coefficients of one block of t sorted by decreasing depth, as (re, im).
+
+    The suffix products P_n = prod_{j=n+1..depth} (A0 + A1 e_j)/A run from
+    n = depth down to 0, where e_n = phase(n, m) for the m t whose depth is
+    at least n.  With k None the result is the bare product P_0;
+    otherwise it is (f1 P_0 + sum_{n=1..k} 2^(n-1) (b0 + b1 e_n)/A^n P_n)/norm,
+    summed in increasing n.
+    """
+    kmax = 0 if k is None else int(k.max())
+    try:
+        a0, a1, a, b0, b1, f1 = map(float, (params.a0, params.a1, params.a,
+                                            params.b0, params.b1, params.f1))
+        scales = [(float(1 << (n - 1)), float(params.a**n)) for n in range(1, kmax + 1)]
+    except OverflowError:
+        raise DomainError("the indicator sum leaves the double range "
+                          "(2^(n-1) or A^n for n up to v2(t)+1)") from None
+    top = int(depth[0])
+    active = np.searchsorted(-depth, -np.arange(top, 0, -1), side="right").tolist()
+    sr, si = np.ones(len(depth)), np.zeros(len(depth))
+    terms = []
+    for n, m in zip(range(top, 0, -1), active):
+        er, ei = phase(n, m)
+        p_re, p_im = sr[:m], si[:m]
+        if n <= kmax:
+            sel = np.flatnonzero(k[:m] >= n)
+            ur, ui = _mul(b1, 0.0, er[sel], ei[sel])
+            two, apow = scales[n - 1]
+            cr, ci = _div(*_mul(two, 0.0, b0 + ur, 0.0 + ui), apow)
+            terms.append((sel, *_mul(cr, ci, p_re[sel], p_im[sel])))
+        ur, ui = _mul(a1, 0.0, er, ei)
+        wr, wi = _div(a0 + ur, 0.0 + ui, a)
+        sr[:m], si[:m] = _mul(wr, wi, p_re, p_im)
+    if k is None:
+        return sr, si
+    acc_r, acc_i = _mul(f1, 0.0, sr, si)
+    for sel, tr, ti in reversed(terms):
+        acc_r[sel] += tr
+        acc_i[sel] += ti
+    return _div(acc_r, acc_i, norm)
+
+
+def _split_wide(ts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(t as int64 with 0 in place of the t beyond int64, mask of those t)."""
+    try:
+        return np.array(ts, dtype=np.int64), np.zeros(len(ts), dtype=bool)
+    except OverflowError:
+        wide = np.array([not _INT64_MIN <= t <= _INT64_MAX for t in ts], dtype=bool)
+        return np.array([0 if w else t for t, w in zip(ts, wide)], dtype=np.int64), wide
+
+
+def _valuations(ts: list[int], t64: np.ndarray, wide: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """v2(t) for the nonzero t at positions idx."""
+    low = t64[idx] & -t64[idx]
+    v2 = np.frexp(low.view(np.uint64).astype(np.float64))[1].astype(np.int64) - 1
+    for j in np.flatnonzero(wide[idx]).tolist():
+        v2[j] = _v2(ts[idx[j]])
+    return v2
+
+
+def _product_depths(params: AffineParams, tabs: np.ndarray, v2: np.ndarray, tol: float):
+    """Depth D and tail bound per t (|t| as float64) with
+    sum_{n>D} amax 2 pi |t| / (A 2^n) < min(tol, 1)/2.
+
+    DomainError when D or the bound leaves the double range (D > ~1000).
+    """
+    try:
+        amax, a = float(max(params.a0, params.a1)), float(params.a)
+    except OverflowError:
+        raise DomainError(_DEPTH_RANGE) from None
+    depth = np.maximum(v2 + 8, 16)
+    target = 4.0 * math.pi * amax * tabs / (a * min(tol, 1.0))
+    big = np.flatnonzero(target > 1.0)
+    if big.size:
+        lg = np.log2(target[big])
+        if not np.isfinite(lg).all():
+            raise DomainError(_DEPTH_RANGE)
+        whole = lg.astype(np.int64)
+        # np.log2 may differ from math.log2 in the last bit; near an integer
+        # that moves the integer part, so take it from math.log2 there.
+        near = np.flatnonzero(np.abs(lg - np.rint(lg)) < 1e-9)
+        whole[near] = [int(math.log2(x)) for x in target[big[near]].tolist()]
+        depth[big] = np.maximum(depth[big], whole + 2)
+    if depth.max() > 1023:
+        raise DomainError(_DEPTH_RANGE)
+    tail = amax * TAU * tabs / (a * np.ldexp(1.0, depth))
+    # math.expm1 per element: np.expm1 differs from it in the last bit for
+    # some arguments, which would change the printed bounds.
+    return depth, np.array([math.expm1(x) for x in tail.tolist()])
+
+
+def _normaliser(value: Fraction) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError("the normalising sum leaves the double range") from None
+
+
+def coeff_table(params: AffineParams, ts: Iterable[int], tol: float = 1e-12,
+                level: Optional[int] = None) -> CoeffTable:
+    """mu^(t) (level None, truncated at tol) or mu_N^(t) at level N, for every t.
+
+    One batched pass: the t are grouped by product depth into blocks of
+    _BLOCK and each block runs through one split re/im kernel, so every
+    value is bit-identical to the scalar complex formula of coeff_limit or
+    coeff_recursive for that t alone.  tail_bound covers the truncation of
+    the infinite product only, not floating-point rounding.
+    """
+    ts = list(ts)
+    size = len(ts)
+    if level is None and not tol > 0:
+        raise DomainError("tol must be > 0")
+    if level is not None and level < 1:
+        raise DomainError("level must be >= 1")
+    if params.is_null_sequence:
+        raise DomainError("sequence is identically zero (homogeneous with f(1)=0)")
+    re, im = np.zeros(size), np.zeros(size)
+    tail, depth = np.zeros(size), np.zeros(size, dtype=np.int64)
+    k = norm = None
+    with np.errstate(all="ignore"):
+        if level is not None and params.a == 0:
+            # The comb alternates b0, b1: (b0 + b1 e^{-2 pi i t/2^N})/b on
+            # 2^(N-1) Z, where the phase is exactly 1 or -1, and 0 elsewhere.
+            step = 1 << (level - 1)
+            plus = (params.b0 + params.b1 * complex(1.0, 0.0)) / params.b
+            minus = (params.b0 + params.b1 * complex(-1.0, 0.0)) / params.b
+            vals = [0j if t % step else minus if (t // step) & 1 else plus for t in ts]
+            re[:] = [v.real for v in vals]
+            im[:] = [v.imag for v in vals]
+            return CoeffTable(re, im, np.hypot(re, im), tail, depth)
+        t64, wide = _split_wide(ts)
+        nonzero = (t64 != 0) | wide
+        re[~nonzero] = 1.0
+        idx = np.flatnonzero(nonzero)
+        # b != 0 with A <= 2: the limit is exactly 0 off t = 0.
+        zero_limit = level is None and not params.homogeneous and params.a <= 2
+        if idx.size and not zero_limit:
+            v2 = _valuations(ts, t64, wide, idx)
+            if level is None:
+                tabs = np.abs(t64[idx].astype(np.float64))
+                for j in np.flatnonzero(wide[idx]).tolist():
+                    try:
+                        tabs[j] = float(abs(ts[idx[j]]))
+                    except OverflowError:
+                        raise DomainError(_DEPTH_RANGE) from None
+                depth[idx], tail[idx] = _product_depths(params, tabs, v2, tol)
+                if not params.homogeneous:
+                    k, norm = v2 + 1, _normaliser(sigma_inf(params))
+            else:
+                depth[idx] = level
+                k, norm = np.minimum(v2 + 1, level), _normaliser(sigma_norm(params, level))
+            _evaluate(params, ts, t64, wide, idx, depth, k, norm, re, im)
+        return CoeffTable(re, im, np.hypot(re, im), tail, depth)
+
+
+def _evaluate(params, ts, t64, wide, idx, depth, k, norm, re, im) -> None:
+    """Run the kernel over idx in depth-sorted blocks, writing re/im in place.
+
+    k is aligned with idx.  t whose residues fit in int64 take their phases
+    from _residue_phases; the rest (beyond int64, or negative with depth
+    above 63) take them from _unit_phase.
+    """
+    d = depth[idx]
+    fast = ~wide[idx] & ((t64[idx] >= 0) | (d <= 63)) & (d <= 1022)
+    for group in (np.flatnonzero(fast), np.flatnonzero(~fast)):
+        group = group[np.argsort(-d[group], kind="stable")]
+        for lo in range(0, group.size, _BLOCK):
+            blk = group[lo:lo + _BLOCK]
+            pos = idx[blk]
+            if fast[blk[0]]:
+                phase = _residue_phases(t64[pos])
+            else:
+                phase = _python_phases([ts[i] for i in pos.tolist()])
+            re[pos], im[pos] = _kernel(params, phase, depth[pos], None if k is None else k[blk], norm)
 
 
 def coeff_recursive(params: AffineParams, level: int, t: int) -> complex:
@@ -109,36 +361,10 @@ def coeff_recursive(params: AffineParams, level: int, t: int) -> complex:
 
     For A0 + A1 = 0 the comb alternates b0, b1 and the coefficient reduces
     to (b0 + b1 e^{-2 pi i t/2^N})/(b0+b1) on 2^(N-1)Z and 0 elsewhere.
+    One t through coeff_table (call that once for many t).
     """
-    if level < 1:
-        raise DomainError("level must be >= 1")
-    if params.is_null_sequence:
-        raise DomainError("sequence is identically zero (homogeneous with f(1)=0)")
-    if params.a == 0:
-        if t % (1 << (level - 1)):
-            return complex(0.0)
-        return (params.b0 + params.b1 * _unit_phase(t, level)) / params.b
-    if t == 0:
-        return complex(1.0)
-    acc = _indicator_sum(params, t, _suffix_products(params, t, level), min(level, _v2(t) + 1))
-    return acc / float(sigma_norm(params, level))
-
-
-def _product_depth(params: AffineParams, t: int, tol: float) -> tuple[int, float]:
-    """Depth D and tail bound with sum_{n>D} amax 2 pi |t| / (A 2^n) < min(tol, 1)/2.
-
-    DomainError when D or the bound leaves the double range (D > ~1000).
-    """
-    amax = max(params.a0, params.a1)
-    depth = max(_v2(t) + 8, 16)
-    try:
-        target = 4.0 * math.pi * amax * abs(t) / (params.a * min(tol, 1.0))
-        if target > 1.0:
-            depth = max(depth, int(math.log2(target)) + 2)
-        tail = amax * TAU * abs(t) / (params.a * math.ldexp(1.0, depth))
-    except OverflowError:
-        raise DomainError("|t|/tol too large: the product depth leaves the double range") from None
-    return depth, math.expm1(tail)
+    tab = coeff_table(params, [t], level=level)
+    return complex(float(tab.re[0]), float(tab.im[0]))
 
 
 def coeff_limit(params: AffineParams, t: int, tol: float = 1e-12) -> CoeffValue:
@@ -147,26 +373,18 @@ def coeff_limit(params: AffineParams, t: int, tol: float = 1e-12) -> CoeffValue:
     Case routing: t = 0 is exactly 1 (probability measure); b != 0 with
     A <= 2 is exactly 0 off t = 0; homogeneous parameters give the bare
     product; the remaining inhomogeneous A >= 3 cases take the product
-    plus the finite sum that the indicator leaves alive.
+    plus the finite sum that the indicator leaves alive.  One t through
+    coeff_table, the batched kernel that every coefficient table uses; for
+    many t call coeff_table once, since each call pays the kernel's
+    per-level array overhead (about 2.5 ms at depth 50).
 
     tail_bound bounds the truncation of the infinite product only; the
     floating-point rounding of the D factors and of the finite sum is not
     included in it.
     """
-    if not tol > 0:
-        raise DomainError("tol must be > 0")
-    if params.is_null_sequence:
-        raise DomainError("sequence is identically zero (homogeneous with f(1)=0)")
-    if t == 0:
-        return CoeffValue(complex(1.0), 0.0, 0)
-    if not params.homogeneous and params.a <= 2:
-        return CoeffValue(complex(0.0), 0.0, 0)
-    depth, tail = _product_depth(params, t, tol)
-    suffix = _suffix_products(params, t, depth)
-    if params.homogeneous:
-        return CoeffValue(suffix[0], tail, depth)
-    acc = _indicator_sum(params, t, suffix, _v2(t) + 1)
-    return CoeffValue(acc / float(sigma_inf(params)), tail, depth)
+    tab = coeff_table(params, [t], tol)
+    return CoeffValue(complex(float(tab.re[0]), float(tab.im[0])),
+                      float(tab.tail_bound[0]), int(tab.depth[0]))
 
 
 def coeff_limit_2b(params: AffineParams, t: int) -> CoeffValue:
@@ -245,7 +463,8 @@ def max_wiener_level() -> int:
 
 
 def wiener_profile(params: AffineParams, levels: Iterable[int], tol: float = 1e-12) -> dict[int, float]:
-    """W_N = 2^-N sum_{n=1..2^N} |mu^(n)|^2 for each requested N, one pass.
+    """W_N = 2^-N sum_{n=1..2^N} |mu^(n)|^2 for each requested N, from one
+    coeff_table call and one running sum.
 
     Homogeneous parameters reuse mu^(2t) = mu^(t) through the odd part of n;
     otherwise every coefficient is evaluated.
@@ -258,27 +477,20 @@ def wiener_profile(params: AffineParams, levels: Iterable[int], tol: float = 1e-
             f"(override with {_ENV_MAX_WIENER})")
     if any(l < 0 for l in levels):
         raise DomainError("Wiener levels must be >= 0")
-    out: dict[int, float] = {}
     if not levels:
-        return out
-    top = levels[-1]
-    odd_cache: dict[int, float] = {}
-    running = 0.0
-    want = set(levels)
-    n = 1
-    for level in range(top + 1):
-        while n <= (1 << level):
-            if params.homogeneous:
-                b = n >> _v2(n)
-                if b not in odd_cache:
-                    odd_cache[b] = abs(coeff_limit(params, b, tol).value) ** 2
-                running += odd_cache[b]
-            else:
-                running += abs(coeff_limit(params, n, tol).value) ** 2
-            n += 1
-        if level in want:
-            out[level] = running / (1 << level)
-    return out
+        return {}
+    size = 1 << levels[-1]
+    mods = coeff_table(params, range(1, size + 1, 2 if params.homogeneous else 1), tol).abs
+    # |mu|^2 as Python's ** computes it (the C library's pow, which differs
+    # from numpy's x*x in the last bit for some x).
+    sq = np.array([x ** 2 for x in mods.tolist()])
+    if params.homogeneous:
+        n = np.arange(1, size + 1)
+        sq = sq[(n // (n & -n)) >> 1]  # the odd part of n indexes the odd-n table
+    # cumsum adds in increasing n, as the definition does; np.sum would add
+    # pairwise and change the last bits.
+    running = np.cumsum(sq)
+    return {level: float(running[(1 << level) - 1]) / (1 << level) for level in levels}
 
 
 def wiener_average(params: AffineParams, level: int, tol: float = 1e-12) -> float:

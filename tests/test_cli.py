@@ -169,6 +169,16 @@ def test_fourier_recursive_beyond_double_range_t(capsys):
     assert all(math.isfinite(float(r[3])) and float(r[3]) <= 1 + 1e-9 for r in rows)
 
 
+def test_indicator_sum_beyond_double_range_exit_code(capsys):
+    # A^n for n up to v2(t)+1 has no double: a domain error, not an OverflowError
+    for argv in (["--params", "1", "2", "0", "1", "1", "--mode", "recursive", "--N", "1100",
+                  "--t", str(2**1000)],
+                 ["--params", "3", "5", "1", "1", "1", "--mode", "limit", "--tol", "1e-3",
+                  "--t", str(2**400)]):
+        code, out, err = run_cli(capsys, "fourier", *argv)
+        assert code == 2 and out == "" and "leaves the double range" in err, argv
+
+
 def test_fourier_json_format(capsys):
     code, out, _ = run_cli(capsys, "fourier", "--catalog", "identity", "--t", "1,2",
                            "--mode", "limit", "--format", "json")
@@ -216,9 +226,10 @@ def test_interval_exact_output(capsys):
 
 
 def test_malformed_bits_and_t_exit_code(capsys):
-    code, _, err = run_cli(capsys, "interval", "--params", "2", "2", "0", "1", "1",
-                           "--bits", "012")
-    assert code == 2 and "domain error" in err
+    for bits in ("012", "0x1", "01 0", "0\u06611"):  # U+0661 is a non-ASCII digit one
+        code, _, err = run_cli(capsys, "interval", "--params", "2", "2", "0", "1", "1",
+                               "--bits", bits)
+        assert code == 2 and "domain error" in err, bits
     code, _, err = run_cli(capsys, "fourier", "--catalog", "identity", "--t", "1..x")
     assert code == 2 and "domain error" in err
 

@@ -2,8 +2,10 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ghostmeasure import (
@@ -15,6 +17,7 @@ from ghostmeasure import (
     coeff_limit,
     coeff_limit_2b,
     coeff_recursive,
+    coeff_table,
     coefficient_bracket,
     direct_fourier,
     domination_constant,
@@ -26,6 +29,7 @@ from ghostmeasure import (
     wiener_average,
     wiener_profile,
 )
+from ghostmeasure.fourier import TAU
 
 CATALOG_NAMES = [
     "constant", "identity", "gould_g", "gould_G", "ruler_r",
@@ -78,6 +82,25 @@ def test_recursive_level_guard():
 # ----------------------------------------------------------------------
 # coeff_limit
 # ----------------------------------------------------------------------
+
+def test_numpy_transcendentals_match_libm():
+    # The batched kernel takes its phases from np.cos/np.sin and its moduli
+    # from np.hypot; the scalar formula takes them from math.cos/math.sin and
+    # abs(complex).  A numpy build whose SIMD versions differ in the last bit
+    # would change printed coefficients.
+    rng = random.Random(20250810)
+    angles = [TAU * (r / (1 << n)) for n in range(1, 63)
+              for r in (rng.randrange(1, 1 << n) for _ in range(64))]
+    a = np.array(angles)
+    for name, vec, scalar in (("cos", np.cos, math.cos), ("sin", np.sin, math.sin)):
+        bad = [x for x, v in zip(angles, vec(a).tolist()) if v.hex() != scalar(x).hex()]
+        assert not bad, f"np.{name} differs from math.{name} at {len(bad)} phase angles, e.g. {bad[0]!r}"
+    parts = [(rng.uniform(-1, 1) * 10.0 ** rng.randint(-30, 0),
+              rng.uniform(-1, 1) * 10.0 ** rng.randint(-30, 0)) for _ in range(4000)]
+    re, im = np.array(parts).T
+    bad = [z for z, h in zip(parts, np.hypot(re, im).tolist()) if h.hex() != abs(complex(*z)).hex()]
+    assert not bad, f"np.hypot differs from abs(complex) at {len(bad)} points, e.g. {bad[0]!r}"
+
 
 def test_limit_at_zero_and_2a():
     for name in CATALOG_NAMES:
@@ -336,11 +359,11 @@ def test_domination_by_homogeneous_product():
         hom = AffineParams(p.a0, p.a1, 0, 0, 1)
         K = domination_constant(p)
         cache = {}
-        for t in range(1, (1 << 12) + 1):
+        mus = coeff_table(p, range(1, (1 << 12) + 1), 1e-12).abs.tolist()
+        for t, mu in enumerate(mus, start=1):
             b = odd_part(t)
             if b not in cache:
                 cache[b] = math.sqrt(magnitude_sq_1b(hom, b, 64))
-            mu = abs(coeff_limit(p, t, 1e-12).value)
             assert mu <= K * cache[b] + 1e-9, (p, t)
 
 

@@ -1,5 +1,7 @@
 """Property tests: independent evaluation paths agree, exact folds equal their
-term-by-term sums, 2D atoms exhaust the mass, and the CLI exit-code contract holds.
+term-by-term sums, the batched coefficient kernel equals the scalar complex
+loops bit for bit, 2D atoms exhaust the mass, and the CLI exit-code contract
+holds.
 
 Hypothesis runs derandomized with small bounded strategies, so every run
 draws the same examples and the suite's time barely moves.
@@ -7,16 +9,21 @@ draws the same examples and the suite's time barely moves.
 
 import contextlib
 import io
+import math
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ghostmeasure import (
     AffineParams,
     big_sigma,
     build_linrep,
     catalog_names,
+    DomainError,
     classify,
+    coeff_limit,
+    coeff_recursive,
+    coeff_table,
     density,
     eval_f,
     eval_region,
@@ -25,11 +32,15 @@ from ghostmeasure import (
     point_mass_total,
     ratio_sequence_exact,
     sigma_inf,
+    sigma_norm,
+    wiener_profile,
 )
 from ghostmeasure.cli import main
+from ghostmeasure.fourier import TAU, _unit_phase, _v2
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 FUZZ = settings(derandomize=True, max_examples=300, deadline=None, database=None)
+KERNEL = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 
 COEFF = st.one_of(st.integers(0, 4), st.just(2**80))
 
@@ -220,5 +231,176 @@ def _exit_code(argv_: list[str]) -> int:
 
 @FUZZ
 @given(argv())
+@example(["fourier", "--params", "1", "2", "0", "1", "1", "--mode", "recursive", "--N", "1100",
+          "--t", str(2**1000)])
+@example(["fourier", "--params", "3", "5", "1", "1", "1", "--mode", "limit", "--tol", "1e-3",
+          "--t", str(2**400)])
 def test_cli_exit_codes(argv_):
     assert _exit_code(argv_) in (0, 2, 3, 4), argv_
+
+
+# ----------------------------------------------------------------------
+# Batched coefficient kernel against the scalar complex loops
+# ----------------------------------------------------------------------
+
+def suffix_products(p: AffineParams, t: int, depth: int) -> list[complex]:
+    """suffix[n] = prod_{j=n+1..depth} w_j(t), so suffix[0] is the full product."""
+    suffix = [complex(1.0)] * (depth + 1)
+    for n in range(depth, 0, -1):
+        suffix[n - 1] = (p.a0 + p.a1 * _unit_phase(t, n)) / p.a * suffix[n]
+    return suffix
+
+
+def indicator_sum(p: AffineParams, t: int, suffix: list[complex], k: int) -> complex:
+    """f(1) P_0 + sum_{n=1..k} 2^(n-1) (b0 + b1 e^{-2 pi i t/2^n}) / A^n * P_n."""
+    acc = p.f1 * suffix[0]
+    for n in range(1, k + 1):
+        coef = (1 << (n - 1)) * (p.b0 + p.b1 * _unit_phase(t, n)) / p.a**n
+        acc += coef * suffix[n]
+    return acc
+
+
+def product_depth(p: AffineParams, t: int, tol: float) -> tuple[int, float]:
+    """Depth D and tail bound with sum_{n>D} amax 2 pi |t| / (A 2^n) < min(tol, 1)/2."""
+    amax = max(p.a0, p.a1)
+    depth = max(_v2(t) + 8, 16)
+    try:
+        target = 4.0 * math.pi * amax * abs(t) / (p.a * min(tol, 1.0))
+        if target > 1.0:
+            depth = max(depth, int(math.log2(target)) + 2)
+        tail = amax * TAU * abs(t) / (p.a * math.ldexp(1.0, depth))
+    except OverflowError:
+        raise DomainError("|t|/tol too large") from None
+    return depth, math.expm1(tail)
+
+
+def limit_oracle(p: AffineParams, t: int, tol: float) -> tuple[complex, float, int]:
+    """(value, tail_bound, depth) of mu^(t), one t at a time in Python complex arithmetic."""
+    if not tol > 0:
+        raise DomainError("tol must be > 0")
+    if p.is_null_sequence:
+        raise DomainError("null sequence")
+    if t == 0:
+        return complex(1.0), 0.0, 0
+    if not p.homogeneous and p.a <= 2:
+        return complex(0.0), 0.0, 0
+    depth, tail = product_depth(p, t, tol)
+    suffix = suffix_products(p, t, depth)
+    if p.homogeneous:
+        return suffix[0], tail, depth
+    return indicator_sum(p, t, suffix, _v2(t) + 1) / float(sigma_inf(p)), tail, depth
+
+
+def recursive_oracle(p: AffineParams, level: int, t: int) -> complex:
+    """mu_N^(t), one t at a time in Python complex arithmetic."""
+    if level < 1:
+        raise DomainError("level must be >= 1")
+    if p.is_null_sequence:
+        raise DomainError("null sequence")
+    if p.a == 0:
+        if t % (1 << (level - 1)):
+            return complex(0.0)
+        return (p.b0 + p.b1 * _unit_phase(t, level)) / p.b
+    if t == 0:
+        return complex(1.0)
+    acc = indicator_sum(p, t, suffix_products(p, t, level), min(level, _v2(t) + 1))
+    return acc / float(sigma_norm(p, level))
+
+
+def wiener_oracle(p: AffineParams, top: int, tol: float) -> list[float]:
+    """W_0..W_top with one running Python float sum over n = 1..2^top."""
+    out, running, n = [], 0.0, 1
+    for level in range(top + 1):
+        while n <= (1 << level):
+            b = n >> _v2(n) if p.homogeneous else n
+            running += abs(limit_oracle(p, b, tol)[0]) ** 2
+            n += 1
+        out.append(running / (1 << level))
+    return out
+
+
+def outcome(fn, errors=(DomainError,)):
+    """fn()'s result, or "error" when it raises one of errors."""
+    try:
+        return fn()
+    except errors:
+        return "error"
+
+
+def oracle_outcome(fn):
+    """outcome() of an oracle, which also raises a bare OverflowError beyond
+    the double range (the program raises DomainError there)."""
+    return outcome(fn, (DomainError, OverflowError))
+
+
+def bits(x: float) -> str:
+    return float(x).hex()
+
+
+KERNEL_T = st.one_of(
+    st.integers(-300, 300),
+    st.builds(lambda k, m, s: s * m * 2**k, st.integers(0, 70), st.sampled_from([1, 3]),
+              st.sampled_from([1, -1])),
+    st.sampled_from([2**62, -(2**62), 2**63 - 1, -(2**63), 2**64 + 1, -(2**70) - 3,
+                     2**100 + 3, 3**90]),
+    st.integers(-(2**40), 2**40),
+)
+
+
+@st.composite
+def kernel_params(draw):
+    """affine_params(), made homogeneous (b0 = b1 = 0) half of the time."""
+    p = draw(affine_params())
+    if p.a and draw(st.booleans()):
+        return AffineParams(p.a0, p.a1, 0, 0, p.f1 or 1)
+    return p
+
+
+def assert_table_matches(tab, want: list) -> None:
+    for i, (value, tail, depth) in enumerate(want):
+        got = (tab.re[i], tab.im[i], tab.abs[i], tab.tail_bound[i])
+        assert [bits(x) for x in got] == [bits(x) for x in (value.real, value.imag, abs(value), tail)], i
+        assert tab.depth[i] == depth, i
+
+
+def check_batch(table, oracle, ts) -> None:
+    """table(ts) raises DomainError iff the oracle fails on some t; table on the
+    other t equals the oracle bit for bit."""
+    want = [oracle_outcome(lambda t=t: oracle(t)) for t in ts]
+    if "error" in want:
+        assert outcome(lambda: table(ts)) == "error"
+    kept = [(t, w) for t, w in zip(ts, want) if w != "error"]
+    if kept:
+        assert_table_matches(table([t for t, _ in kept]), [w for _, w in kept])
+
+
+@KERNEL
+@given(kernel_params(), st.lists(KERNEL_T, min_size=1, max_size=6), TOL.map(float))
+def test_limit_kernel_matches_scalar_loops(p, ts, tol):
+    check_batch(lambda ts: coeff_table(p, ts, tol), lambda t: limit_oracle(p, t, tol), ts)
+    want = oracle_outcome(lambda: limit_oracle(p, ts[0], tol))
+    got = outcome(lambda: coeff_limit(p, ts[0], tol))
+    assert want == got if want == "error" else (got.value, got.tail_bound, got.depth) == want
+
+
+@PROPERTY
+@given(kernel_params(), st.integers(1, 1100), st.lists(KERNEL_T, min_size=1, max_size=4))
+def test_recursive_kernel_matches_scalar_loops(p, level, ts):
+    def oracle(t):
+        return recursive_oracle(p, level, t), 0.0, level if p.a and t else 0
+
+    check_batch(lambda ts: coeff_table(p, ts, level=level), oracle, ts)
+    want = oracle_outcome(lambda: recursive_oracle(p, level, ts[0]))
+    got = outcome(lambda: coeff_recursive(p, level, ts[0]))
+    assert want == got if want == "error" else bits(got.real) + bits(got.imag) == bits(want.real) + bits(want.imag)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(kernel_params(), st.integers(0, 10), st.sampled_from([1e-12, 1e-3, 1e-20]))
+def test_wiener_profile_matches_running_sum(p, top, tol):
+    want = oracle_outcome(lambda: wiener_oracle(p, top, tol))
+    got = outcome(lambda: wiener_profile(p, range(top + 1), tol))
+    if want == "error":
+        assert got == "error"
+        return
+    assert [bits(got[n]) for n in range(top + 1)] == [bits(w) for w in want]
