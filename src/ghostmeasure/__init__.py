@@ -10,7 +10,16 @@ and produces its interval measures, densities, concentration diagnostics
 and point weights.
 """
 
-from .approximant import Approximant, DyadicInterval, build_comb, cdf, cdf_series, direct_fourier, interval_mass
+from .approximant import (
+    Approximant,
+    DyadicInterval,
+    Spectrum,
+    build_comb,
+    cdf,
+    cdf_series,
+    direct_fourier,
+    interval_mass,
+)
 from .errors import CatalogError, DomainError, ResourceCapError
 from .fourier import (
     CoeffTable,
@@ -20,6 +29,7 @@ from .fourier import (
     coeff_recursive,
     coeff_table,
     coefficient_bracket,
+    direct_table,
     domination_constant,
     kappa_1b,
     l2_norm_2b,

@@ -13,11 +13,12 @@ Interval masses and distribution values never materialise the 2^N atoms.
 The atoms below a dyadic prefix form a block whose sum has a closed form
 in the value of f at the prefix (sequence._block_sum), so a dyadic mass
 is one block sum and F_N at an atom is at most N of them, one per 1-digit
-of the atom's index.  The atoms themselves (Approximant.weights) are built
-only when read, by direct_fourier and by tests that use them as the
-brute-force oracle.  direct_fourier works in floating point, with
-compensated summation (math.fsum), since 2^N-term phasor sums lose roughly
-N/2 bits when accumulated naively.
+of the atom's index.  The exact atoms (Approximant.weights) are built only
+when read, by tests that use them as the brute-force oracle.  Fourier
+coefficients come from Approximant.spectrum: the atoms as doubles (built
+in int64 when they fit, else from Python integers) and one real FFT of
+them, which serves every t; each value carries the a-priori rounding bound
+derived in Spectrum.
 
 DyadicInterval names the half-open interval left-closed at its bit prefix:
 bits x1..xi stand for [(0.x1..xi00...)_2, (0.x1..xi11...)_2), of Lebesgue
@@ -31,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -98,20 +99,150 @@ class Approximant:
         return tuple(eval_region(self.params, self.level, max_level=self.level))
 
     @cached_property
-    def _float_weights(self) -> tuple[np.ndarray, float]:
-        """Weights and total as doubles, pre-shifted when beyond the double range.
+    def spectrum(self) -> "Spectrum":
+        """One real FFT of the atoms as doubles, built on first read and kept.
 
-        Weights stay exact integers up to this point; the common right shift
-        preserves the normalised ratios to ~2^-850.
+        The exact integer atoms (weights) are not built for it.
         """
-        shift = max(self.total.bit_length() - 900, 0)
-        if shift:
-            w = np.fromiter(((x >> shift) for x in self.weights), dtype=float, count=len(self.weights))
-            t = float(self.total >> shift)
-        else:
-            w = np.fromiter(self.weights, dtype=float, count=len(self.weights))
-            t = float(self.total)
-        return w, t
+        w, total, shift = _float_weights(self.params, self.level, self.total)
+        # np.fft is read here, not at import: numpy loads it on first use.
+        bins = np.fft.rfft(w)
+        return Spectrum(self.level, bins, total, _rounding_bound(self.level, shift, self.total))
+
+
+def _int64_region(params: AffineParams, level: int) -> Optional[np.ndarray]:
+    """Region N as int64, built level by level, or None if a value could reach 2^63.
+
+    Every value of every level is at most the max-branch bound
+    v <- max(A0,A1) v + max(b0,b1) from v = f(1) (the coefficients are
+    non-negative), so while that bound and the coefficients stay below 2^63
+    no product or sum can overflow.
+    """
+    amax, bmax = max(params.a0, params.a1), max(params.b0, params.b1)
+    v = params.f1
+    if max(amax, bmax, v) >> 63:
+        return None
+    for _ in range(level):
+        v = amax * v + bmax
+        if v >> 63:
+            return None
+    region = np.array([params.f1], dtype=np.int64)
+    for _ in range(level):
+        nxt = np.empty(2 * region.size, dtype=np.int64)
+        for d in (0, 1):
+            a, b = params.branch(d)
+            np.multiply(region, a, out=nxt[d::2])  # v[2m+d] = A_d v[m] + b_d
+            nxt[d::2] += b
+        region = nxt
+    return region
+
+
+def _float_weights(params: AffineParams, level: int, total: int) -> tuple[np.ndarray, float, int]:
+    """(atoms, total, s): atoms and total right-shifted by s bits, as doubles.
+
+    s > 0 only when the total is beyond the double range; the common shift
+    keeps the normalised ratios to ~2^-850.  The int64 region serves when
+    it fits and s = 0, the Python-int region otherwise.  Each conversion is
+    correctly rounded.
+    """
+    shift = max(total.bit_length() - 900, 0)
+    region = None if shift else _int64_region(params, level)
+    if region is not None:
+        return region.astype(np.float64), float(total), 0
+    values = eval_region(params, level, max_level=level)
+    w = np.fromiter((x >> shift for x in values), dtype=np.float64, count=len(values))
+    return w, float(total >> shift), shift
+
+
+# Unit roundoff of double, and the error assumed for pocketfft's twiddles
+# (see Spectrum).
+_U = 2.0**-53
+_MU = 9 * _U
+# Higham's per-stage error of a radix-2 butterfly: mu + gamma_4 (sqrt 2 + mu).
+_ETA = _MU + 4 * _U / (1 - 4 * _U) * (math.sqrt(2.0) + _MU)
+
+
+def _rounding_bound(level: int, shift: int, total: int) -> float:
+    """The bound B of Spectrum on |computed - exact| for every t, 0 < t < 2^N."""
+    g = math.expm1(level * math.log1p(_ETA))
+    ratio = (1 + _U) / (1 - _U)  # bounds sum(w^)/total^
+    bound = ((1 + _U) * g + 3 * _U / (1 - _U)) * ratio
+    if shift:
+        bound += math.ldexp((1 << level) + 1, shift - total.bit_length() + 1)
+    # Cover the dozen roundings of evaluating the bound itself.
+    return bound * (1 + 2.0**-40)
+
+
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """The level-N comb's coefficients: bins[k] = sum_n w^_n e^{-2 pi i k n/2^N},
+    k = 0..2^(N-1) (numpy.fft.rfft of the double atoms w^), the double total
+    and the rounding bound that covers every coefficient read from them.
+
+    Rounding bound.  With u = 2^-53, L = log2 2^N = N, s the pre-shift of
+    _float_weights (w' = w >> s, T' = T >> s, both integers, sum w' <= T'),
+    w^ = fl(w') and T^ = fl(T') (each within a relative u), the printed
+    value of mu_N^(t) = (sum_n w_n e^{-2 pi i t n/2^N})/T is the bin
+    divided by T^ part by part, and differs from it by at most
+
+        B = ((1+u) g + 3u/(1-u)) * sum(w^)/T^  (+ (2^N + 1) 2^s/T when s > 0),
+        g = (1 + eta)^L - 1,   eta = mu + gamma_4 (sqrt 2 + mu),
+
+    with sum(w^)/T^ <= (1+u)/(1-u), so B depends only on N (and s):
+    about 3.0e-14 at N = 18.  The terms:
+      * FFT (g).  Higham, Accuracy and Stability of Numerical Algorithms,
+        2nd ed., Thm 24.2 in componentwise form: a radix-2 stage is
+        (A_k + dA_k) x with |dA_k| <= eta |A_k| when the computed twiddles
+        are within mu of the exact ones, and |A_L|...|A_1| is the all-ones
+        matrix (one path of unit-modulus factors joins each input to each
+        output), so |computed bin - exact DFT of w^| <= g sum |w^_n|, which
+        is g sum w^_n: the atoms are non-negative.  The normwise form
+        (sqrt(2^N) ||w||_2) would be far looser on a comb with a few heavy
+        atoms.
+      * Conversion (u/(1-u)): |DFT(w^) - DFT(w')| <= u sum w'.
+      * Division (u + u/(1-u) + u g): each part is divided and rounded
+        once, and T^ is within u of T'.
+      * Shift: the dropped low bits of the w and of T, below 2^s each.
+    B is then raised by a relative 2^-40 to cover its own evaluation.
+
+    Assumptions about pocketfft (numpy.fft), which is not the textbook
+    complex radix-2 algorithm:
+      1. Its twiddles are within mu = 9u of the exact roots of unity: each
+         is the product of two table entries, libm cosines and sines of a
+         rounded angle (within 3u each), and the product adds
+         sqrt(2) gamma_2.
+      2. For 2^N real points it runs radix-4 passes and at most one radix-2
+         pass in real arithmetic (FFTPACK's radf4 and radf2).  A radix-4
+         pass multiplies each input by one twiddle and adds four terms in
+         two rounds: no more rounding per output than two radix-2 stages.
+         The real-input passes form each stored output from the same
+         twiddle products and additions as the complex pass they replace,
+         so L = N stages cover them.
+    The bound stands or falls with these; the tests hold every bin to a
+    long-double FFT, and sampled t to a 40-digit DFT and to a compensated
+    direct sum, each within B.
+    """
+
+    level: int
+    bins: np.ndarray
+    total: float
+    bound: float
+
+    def coefficients(self, ts: Iterable[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(re, im, bound) of mu_N^(t) for each t.
+
+        With r = t mod 2^N: bin r for r <= 2^(N-1), else the conjugate of bin
+        2^N - r (the atoms are real); r = 0 is exactly 1 with bound 0.
+        """
+        size = 1 << self.level
+        r = np.array([t % size for t in ts], dtype=np.int64)
+        upper = r > size >> 1
+        z = self.bins[np.where(upper, size - r, r)]
+        re = z.real / self.total
+        im = np.where(upper, -z.imag, z.imag) / self.total
+        zero = r == 0
+        re[zero], im[zero] = 1.0, 0.0
+        return re, im, np.where(zero, 0.0, self.bound)
 
 
 def build_comb(params: AffineParams, level: int, max_level: Optional[int] = None) -> Approximant:
@@ -126,27 +257,18 @@ def build_comb(params: AffineParams, level: int, max_level: Optional[int] = None
 
 
 # ----------------------------------------------------------------------
-# Fourier coefficients by direct summation
+# Fourier coefficients of the comb
 # ----------------------------------------------------------------------
 
 def direct_fourier(comb: Approximant, t: int) -> complex:
     """mu_N^(t) = (1/Sigma(N)) * sum_n f(2^N+n) e^{-2 pi i t n / 2^N}.
 
-    The angle of atom n is built from the exact residue (t*n mod 2^N), so no
-    range-reduction error enters; the real and imaginary accumulations use
-    math.fsum.  t = 0 (mod 2^N) returns exactly 1.
+    A lookup into comb.spectrum, within its rounding bound of the exact
+    value; t = 0 (mod 2^N) returns exactly 1.  For many t,
+    fourier.direct_table reads them all at once, with the bound.
     """
-    size = 1 << comb.level
-    r = t % size
-    if r == 0:
-        return complex(1.0, 0.0)
-    n = np.arange(size, dtype=np.int64)
-    frac = (r * n) % size
-    ang = frac * (2.0 * np.pi / size)
-    w, total = comb._float_weights
-    re = math.fsum(w * np.cos(ang))
-    im = -math.fsum(w * np.sin(ang))
-    return complex(re / total, im / total)
+    re, im, _ = comb.spectrum.coefficients([t])
+    return complex(float(re[0]), float(im[0]))
 
 
 # ----------------------------------------------------------------------

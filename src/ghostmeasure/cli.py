@@ -128,12 +128,10 @@ def _cmd_fourier(args, out) -> int:
     if args.mode != "limit" and args.N is None:
         raise DomainError(f"--mode {args.mode} requires --N")
     if args.mode == "direct":
-        comb = approximant.build_comb(params, args.N)
-        vs = [approximant.direct_fourier(comb, t) for t in ts]
-        rows = [(t, v.real, v.imag, abs(v), 0.0) for t, v in zip(ts, vs)]
+        tab = fourier.direct_table(approximant.build_comb(params, args.N), ts)
     else:
         tab = fourier.coeff_table(params, ts, args.tol, args.N if args.mode == "recursive" else None)
-        rows = list(zip(ts, tab.re.tolist(), tab.im.tolist(), tab.abs.tolist(), tab.tail_bound.tolist()))
+    rows = list(zip(ts, tab.re.tolist(), tab.im.tolist(), tab.abs.tolist(), tab.tail_bound.tolist()))
     _emit(["t", "re", "im", "abs", "tail_bound"], rows, args.format, out)
     return 0
 

@@ -33,7 +33,9 @@ coeff_table: the t are grouped by product depth into fixed-size blocks, and
 each block runs the product and the indicator sum in split real/imaginary
 float64 arrays with exactly the operations of CPython's complex arithmetic,
 so every value is bit-identical to the scalar formula for that t alone.
-tail_bound still covers only the truncation of the product, not rounding.
+In these tables tail_bound covers only the truncation of the product, not
+rounding.  Direct tables (direct_table) read mu_N^(t) off one real FFT of
+a built comb, and their tail_bound is that FFT's rounding bound.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from ._util import int_from_env
+from .approximant import Approximant
 from .errors import DomainError, ResourceCapError
 from .ghost import classify
 from .sequence import AffineParams, sigma_inf, sigma_norm
@@ -122,7 +125,9 @@ class CoeffTable:
     truncation bound, with the int64 product depth of each t.
 
     Limit tables carry coeff_limit's tail_bound and depth (0 and 0 where no
-    product is truncated); recursive tables carry bound 0 and depth N.
+    product is truncated); recursive tables carry bound 0 and depth N;
+    direct tables carry the comb spectrum's rounding bound (0 where
+    t = 0 mod 2^N) and depth N.
     """
 
     re: np.ndarray
@@ -354,6 +359,17 @@ def _evaluate(params, ts, t64, wide, idx, depth, k, norm, re, im) -> None:
             else:
                 phase = _python_phases([ts[i] for i in pos.tolist()])
             re[pos], im[pos] = _kernel(params, phase, depth[pos], None if k is None else k[blk], norm)
+
+
+def direct_table(comb: Approximant, ts: Iterable[int]) -> CoeffTable:
+    """mu_N^(t) of a built comb for every t, read off comb.spectrum.
+
+    The spectrum (one real FFT of the 2^N atoms) is built on the first call
+    and serves every t; tail_bound is its rounding bound, which holds for
+    each value (approximant.Spectrum derives it).
+    """
+    re, im, bound = comb.spectrum.coefficients(ts)
+    return CoeffTable(re, im, np.hypot(re, im), bound, np.full(re.size, comb.level, dtype=np.int64))
 
 
 def coeff_recursive(params: AffineParams, level: int, t: int) -> complex:

@@ -1,4 +1,4 @@
-"""Comb construction, direct Fourier sums, CDFs and interval masses."""
+"""Comb construction, the comb spectrum and its int64 region, CDFs and interval masses."""
 
 import cmath
 import itertools
@@ -7,6 +7,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ghostmeasure import (
@@ -19,8 +20,11 @@ from ghostmeasure import (
     cdf,
     cdf_series,
     direct_fourier,
+    direct_table,
+    eval_region,
     interval_mass,
 )
+from ghostmeasure.approximant import _float_weights, _int64_region
 
 CATALOG_NAMES = [
     "constant", "identity", "gould_g", "gould_G", "ruler_r",
@@ -112,6 +116,100 @@ def test_fourier_huge_weights_stay_normalised():
     # shifted sum still matches the uniform-comb structure at a coarse level
     uni = build_comb(AffineParams(2**80, 2**80, 0, 0, 1), 12)
     assert abs(direct_fourier(uni, 17)) <= 1e-9
+
+
+# ----------------------------------------------------------------------
+# The comb spectrum: long-double FFT, int64 region, memory
+# ----------------------------------------------------------------------
+
+# 1B, 2B, 2C, 2D both ways, values past 2^63 from N = 17 on, Cantor, and a
+# total past 2^900 (pre-shifted atoms).
+SPECTRUM_PARAMS = [AffineParams(1, 2, 0, 0, 2), AffineParams(2, 2, 0, 1, 1), AffineParams(1, 2, 0, 1, 1),
+                   AffineParams(3, 0, 0, 1, 1), AffineParams(0, 3, 1, 0, 1), AffineParams(6, 9, 1, 2, 1),
+                   AffineParams(3, 3, 0, 2, 1), AffineParams(2**80, 2**80 - 1, 0, 1, 1)]
+
+LONG_DOUBLE = pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant,
+                                 reason="np.longdouble is plain double here")
+
+
+def longdouble_errors(p, level):
+    """(|computed - reference| for t = 0..2^N-1, reported bounds), the reference
+    a complex long-double FFT of the exact atoms over the exact total."""
+    comb = build_comb(p, level)
+    size = 1 << level
+    atoms = np.array(eval_region(p, level), dtype=np.longdouble)
+    ref = np.fft.fft(atoms.astype(np.clongdouble)) / np.longdouble(comb.total)
+    re, im, bound = comb.spectrum.coefficients(range(size))
+    assert re[0] == 1 and im[0] == 0 and bound[0] == 0
+    return np.abs((re + 1j * im).astype(np.clongdouble) - ref).astype(float), bound
+
+
+@LONG_DOUBLE
+@pytest.mark.parametrize("p", SPECTRUM_PARAMS, ids=str)
+def test_spectrum_within_bound_of_long_double_fft(p):
+    for level in (1, 2, 5, 12, 18):
+        if p.a0 >= 2**80 and level > 12:
+            continue
+        err, bound = longdouble_errors(p, level)
+        assert (err[1:] <= bound[1:]).all(), (level, err.max(), bound.max())
+
+
+@LONG_DOUBLE
+def test_spectrum_bound_is_not_vacuous():
+    errors, bounds = zip(*(longdouble_errors(p, 12) for p in SPECTRUM_PARAMS))
+    ratio = max(b.max() for b in bounds) / max(e.max() for e in errors)
+    print(f"largest bound / largest observed error at N = 12: {ratio:.0f}")
+    assert ratio <= 1e3
+
+
+def max_branch_bound(p, level):
+    v = p.f1
+    for _ in range(level):
+        v = max(p.a0, p.a1) * v + max(p.b0, p.b1)
+    return max(v, p.f1, p.a0, p.a1, p.b0, p.b1)
+
+
+def test_int64_region_matches_eval_region():
+    below = AffineParams(2, 2, 0, 1, 2**43 - 1)  # f(2^21 - 1) = 2^63 - 1
+    above = AffineParams(2, 2, 0, 1, 2**43)      # f(2^21 - 1) = 2^63 + 2^20 - 1
+    big = AffineParams(6, 9, 1, 2, 1)            # past 2^63 from N = 20 on
+    for p in (below, above, big):
+        for level in range(21):
+            exact = eval_region(p, level)
+            region = _int64_region(p, level)
+            assert (region is None) == (max_branch_bound(p, level) >= 2**63), (p, level)
+            if region is not None:
+                assert region.tolist() == exact
+        # N = 20: the int64 region where it fits, the Python-int region otherwise
+        w, total, shift = _float_weights(p, 20, sum(exact))
+        assert shift == 0 and total == float(sum(exact))
+        assert w.tolist() == [float(x) for x in exact]
+    assert _int64_region(below, 20).max() == 2**63 - 1
+    assert _int64_region(above, 19) is not None and _int64_region(above, 20) is None
+    assert _int64_region(big, 19) is not None and _int64_region(big, 20) is None
+
+
+def test_float_weights_pre_shift():
+    p = AffineParams(2**80, 2**80 - 1, 0, 1, 1)
+    comb = build_comb(p, 12)
+    shift = comb.total.bit_length() - 900
+    assert shift > 0
+    w, total, s = _float_weights(p, 12, comb.total)
+    assert s == shift and total == float(comb.total >> shift)
+    assert w.tolist() == [float(x >> shift) for x in comb.weights]
+
+
+def test_direct_table_does_not_keep_exact_atoms():
+    comb = build_comb(AffineParams(1, 2, 0, 1, 1), 18)
+    tracemalloc.start()
+    try:
+        tab = direct_table(comb, range(1000, 1016))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "weights" not in vars(comb)
+    assert peak < 8 << 20
+    assert (tab.tail_bound > 0).all() and (tab.abs <= 1).all()
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ghostmeasure
 from ghostmeasure.cli import build_parser, main
 
 
@@ -128,6 +133,19 @@ def test_fourier_modes_agree(capsys):
     for r, d in zip(rec, direct):
         assert abs(float(r[1]) - float(d[1])) <= 1e-10
         assert abs(float(r[2]) - float(d[2])) <= 1e-10
+        # direct rows carry the FFT's rounding bound, about 1.7e-14 at N = 10
+        assert 1e-15 < float(d[4]) < 1e-13
+
+
+def test_import_leaves_numpy_fft_unloaded():
+    # numpy loads numpy.fft on first use; only direct Fourier tables use it,
+    # so start-up of every other command does not pay for it.
+    src = str(Path(ghostmeasure.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, ghostmeasure.cli; print('numpy.fft' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def test_threads_do_not_change_output(capsys):

@@ -1,7 +1,8 @@
 """Property tests: independent evaluation paths agree, exact folds equal their
 term-by-term sums, the batched coefficient kernel equals the scalar complex
-loops bit for bit, 2D atoms exhaust the mass, and the CLI exit-code contract
-holds.
+loops bit for bit, direct-mode coefficients lie within their rounding bound
+of summation oracles, 2D atoms exhaust the mass, and the CLI exit-code
+contract holds.
 
 Hypothesis runs derandomized with small bounded strategies, so every run
 draws the same examples and the suite's time barely moves.
@@ -12,11 +13,14 @@ import io
 import math
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ghostmeasure import (
     AffineParams,
     big_sigma,
+    build_comb,
     build_linrep,
     catalog_names,
     DomainError,
@@ -25,6 +29,8 @@ from ghostmeasure import (
     coeff_recursive,
     coeff_table,
     density,
+    direct_fourier,
+    direct_table,
     eval_f,
     eval_region,
     eval_via_linrep,
@@ -404,3 +410,97 @@ def test_wiener_profile_matches_running_sum(p, top, tol):
         assert got == "error"
         return
     assert [bits(got[n]) for n in range(top + 1)] == [bits(w) for w in want]
+
+
+# ----------------------------------------------------------------------
+# Direct-mode coefficients: the comb spectrum against summation oracles
+# ----------------------------------------------------------------------
+
+def fsum_direct(comb, t: int) -> complex:
+    """mu_N^(t) by compensated direct summation over the exact atoms.
+
+    The angle of atom n is built from the exact residue (t*n mod 2^N), so no
+    range-reduction error enters; the real and imaginary accumulations use
+    math.fsum.  t = 0 (mod 2^N) returns exactly 1.  Atoms and total share a
+    right shift when the total is beyond the double range.
+    """
+    size = 1 << comb.level
+    r = t % size
+    if r == 0:
+        return complex(1.0, 0.0)
+    shift = max(comb.total.bit_length() - 900, 0)
+    w = np.fromiter((x >> shift for x in comb.weights), dtype=float, count=size)
+    total = float(comb.total >> shift)
+    n = np.arange(size, dtype=np.int64)
+    frac = (r * n) % size
+    ang = frac * (2.0 * np.pi / size)
+    re = math.fsum(w * np.cos(ang))
+    im = -math.fsum(w * np.sin(ang))
+    return complex(re / total, im / total)
+
+
+def mp_error(comb, t: int, value: complex) -> float:
+    """|value - mu_N^(t)|, the coefficient as a plain DFT at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    size = 1 << comb.level
+    with mpmath.workdps(40):
+        acc = mpmath.fsum(w * mpmath.expjpi(mpmath.mpf(-2 * (t * n % size)) / size)
+                          for n, w in enumerate(comb.weights))
+        return float(abs(mpmath.mpc(value.real, value.imag) - acc / comb.total))
+
+
+@st.composite
+def comb_params(draw):
+    """affine_params(), case 2D in either orientation, or A = 0."""
+    kind = draw(st.sampled_from(["any", "2d", "a0"]))
+    if kind == "2d":
+        return draw(params_2d())
+    if kind == "a0":
+        b0, b1 = draw(COEFF), draw(COEFF)
+        return AffineParams(0, 0, b0, b1 if b0 or b1 else 1, draw(COEFF))
+    return draw(affine_params())
+
+
+@st.composite
+def comb_case(draw):
+    """(params, N, ts): N in 0..12; t near 0, near multiples of 2^N and of
+    2^(N-1), negative, and beyond the int64 range.  Combs with total 0
+    (f(1) = 0 at N = 0) take f(1) = 1."""
+    p, level = draw(comb_params()), draw(st.integers(0, 12))
+    if big_sigma(p, level) == 0:
+        p = AffineParams(p.a0, p.a1, p.b0, p.b1, 1)
+    size = 1 << level
+    near = st.builds(lambda m, h, d: m * size + h + d, st.integers(-3, 3),
+                     st.sampled_from([0, size >> 1]), st.sampled_from([0, 0, -1, 1]))
+    t = st.one_of(st.integers(-300, 300), near, st.sampled_from([2**100 + 3, -(2**90)]))
+    return p, level, draw(st.lists(t, min_size=1, max_size=4))
+
+
+def check_direct_case(case, error) -> None:
+    """direct_table and direct_fourier agree, and error(comb, t, value) <= the
+    reported bound for every t (0 exactly where t = 0 mod 2^N)."""
+    p, level, ts = case
+    comb = build_comb(p, level)
+    tab = direct_table(comb, ts)
+    assert list(tab.depth) == [level] * len(ts)
+    for i, t in enumerate(ts):
+        value = complex(tab.re[i], tab.im[i])
+        assert bits(direct_fourier(comb, t).real) == bits(value.real)
+        assert bits(direct_fourier(comb, t).imag) == bits(value.imag)
+        if t % (1 << level) == 0:
+            assert value == 1 and tab.tail_bound[i] == 0
+        else:
+            assert 0 < tab.tail_bound[i] < 1e-13
+            assert error(comb, t, value) <= tab.tail_bound[i], t
+
+
+@PROPERTY
+@given(comb_case())
+def test_direct_table_within_bound_of_fsum(case):
+    check_direct_case(case, lambda comb, t, value: abs(value - fsum_direct(comb, t)))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(comb_case())
+def test_direct_table_within_bound_of_mpmath(case):
+    check_direct_case(case, mp_error)
