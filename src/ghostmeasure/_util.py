@@ -19,7 +19,8 @@ def int_from_env(name: str, default: int) -> int:
 
 
 def parse_bits(bits) -> tuple[int, ...]:
-    """Normalise a bit-string argument ('0110', b'…', or iterable of 0/1)."""
+    """Normalise a bit-string argument: a str of 0/1 such as '0110', or an
+    iterable of the ints 0 and 1."""
     if isinstance(bits, str):
         if bits.strip("01"):
             raise DomainError(f"bit string may contain only 0 and 1, got {bits!r}")

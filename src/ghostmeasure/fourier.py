@@ -33,6 +33,11 @@ coeff_table: the t are grouped by product depth into fixed-size blocks, and
 each block runs the product and the indicator sum in split real/imaginary
 float64 arrays with exactly the operations of CPython's complex arithmetic,
 so every value is bit-identical to the scalar formula for that t alone.
+The phases e^{-2 pi i t/2^n} of a block come from one source, _phases,
+which reads the residue t mod 2^n off the int64 low = t & (2^63 - 1) in
+three cases: low & (2^n - 1) for n <= 63, low itself for 64 <= n <= 1022
+when t lies in [0, 2^63), and the scalar _unit_phase for every other
+(t, n), so negative and beyond-int64 t need no path of their own.
 In these tables tail_bound covers only the truncation of the product, not
 rounding.  Direct tables (direct_table) read mu_N^(t) off one real FFT of
 a built comb, and their tail_bound is that FFT's rounding bound.
@@ -110,7 +115,8 @@ def _unit_phase(t: int, n: int) -> complex:
 # this length, so no depth x t phase array is ever formed.
 _BLOCK = 2048
 
-_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+# t & _LOW_BITS, the low 63 bits of t, is an int64 for every int t.
+_LOW_BITS = (1 << 63) - 1
 
 _DEPTH_RANGE = "|t|/tol too large: the product depth leaves the double range"
 
@@ -149,38 +155,46 @@ def _div(xr, xi, d: float):
     return (xr + xi * ratio) / denom, (xi - xr * ratio) / denom
 
 
-def _residue_phases(t: np.ndarray):
-    """Phase source for int64 t: e^{-2 pi i t/2^n} for the first m t at level n.
+def _phases(ts: np.ndarray, low: np.ndarray):
+    """The one phase source: e^{-2 pi i t/2^n} for the first m t at level n,
+    equal to _unit_phase(t, n) bit for bit.
 
-    Equals _unit_phase(t, n) wherever the residue r = t mod 2^n is an int64
-    and r/2^n is one correctly rounded scaling: t >= 0 with n <= 1022, and
-    t < 0 with n <= 63.
+    ts is an object array of ints and low is ts & (2^63 - 1) as int64,
+    which fits for any int t.  r = t mod 2^n is low & (2^n - 1) for
+    n <= 63 and low itself for t in [0, 2^63); r/2^n is then one correctly
+    rounded scaling while r 2^-n stays a normal double, which n <= 1022
+    ensures.  The other (t, n) pairs, n > 63 with t outside [0, 2^63) and
+    every t at n > 1022, take _unit_phase.
     """
+    other = None
+
     def phase(n: int, m: int):
-        r = t[:m] & ((1 << n) - 1) if n <= 63 else t[:m]
+        nonlocal other
+        r = low[:m] & ((1 << n) - 1) if n <= 63 else low[:m]
         ang = TAU * (r.astype(np.float64) * math.ldexp(1.0, -n))
         re, im = np.cos(ang), -np.sin(ang)
         # r = k 2^(n-2) is a quarter point.  Testing r's low bits, not 4r
-        # (which overflows int64 from n = 61), keeps the test exact.
+        # (which overflows int64 from n = 61), keeps the test exact; from
+        # n = 65 on the only quarter point below 2^63 is r = 0.
         if n == 1:
             hit, k = slice(None), r << 1
-        elif n <= 64:
-            hit = np.flatnonzero((r & ((1 << (n - 2)) - 1)) == 0)
-            k = r[hit] >> (n - 2)
         else:
-            return re, im
+            s = min(n - 2, 63)
+            hit = np.flatnonzero((r & ((1 << s) - 1)) == 0)
+            k = r[hit] >> s
         re[hit] = _QUARTER_RE[k]
         im[hit] = _QUARTER_IM[k]
+        if n > 63:
+            if other is None:
+                # Positions of the t outside [0, 2^63), where low is not t
+                # itself; found at the first level past 63, if any.
+                other = np.flatnonzero((ts < 0) | (ts > _LOW_BITS)).tolist()
+            for i in range(m) if n > 1022 else other:
+                if i >= m:
+                    break
+                z = _unit_phase(ts[i], n)
+                re[i], im[i] = z.real, z.imag
         return re, im
-
-    return phase
-
-
-def _python_phases(ts: list[int]):
-    """Phase source for the t _residue_phases cannot reproduce: _unit_phase per t."""
-    def phase(n: int, m: int):
-        zs = [_unit_phase(t, n) for t in ts[:m]]
-        return np.array([z.real for z in zs]), np.array([z.imag for z in zs])
 
     return phase
 
@@ -189,9 +203,10 @@ def _kernel(params: AffineParams, phase, depth: np.ndarray, k, norm: float):
     """Coefficients of one block of t sorted by decreasing depth, as (re, im).
 
     The suffix products P_n = prod_{j=n+1..depth} (A0 + A1 e_j)/A run from
-    n = depth down to 0, where e_n = phase(n, m) for the m t whose depth is
-    at least n.  With k None the result is the bare product P_0;
-    otherwise it is (f1 P_0 + sum_{n=1..k} 2^(n-1) (b0 + b1 e_n)/A^n P_n)/norm,
+    n = depth down to 0, where e_n = phase(n, m), the block's _phases at
+    level n, for the m t whose depth is at least n.  With k None the
+    result is the bare product P_0; otherwise it is
+    (f1 P_0 + sum_{n=1..k} 2^(n-1) (b0 + b1 e_n)/A^n P_n)/norm,
     summed in increasing n.
     """
     kmax = 0 if k is None else int(k.max())
@@ -225,24 +240,6 @@ def _kernel(params: AffineParams, phase, depth: np.ndarray, k, norm: float):
         acc_r[sel] += tr
         acc_i[sel] += ti
     return _div(acc_r, acc_i, norm)
-
-
-def _split_wide(ts: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(t as int64 with 0 in place of the t beyond int64, mask of those t)."""
-    try:
-        return np.array(ts, dtype=np.int64), np.zeros(len(ts), dtype=bool)
-    except OverflowError:
-        wide = np.array([not _INT64_MIN <= t <= _INT64_MAX for t in ts], dtype=bool)
-        return np.array([0 if w else t for t, w in zip(ts, wide)], dtype=np.int64), wide
-
-
-def _valuations(ts: list[int], t64: np.ndarray, wide: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """v2(t) for the nonzero t at positions idx."""
-    low = t64[idx] & -t64[idx]
-    v2 = np.frexp(low.view(np.uint64).astype(np.float64))[1].astype(np.int64) - 1
-    for j in np.flatnonzero(wide[idx]).tolist():
-        v2[j] = _v2(ts[idx[j]])
-    return v2
 
 
 def _product_depths(params: AffineParams, tabs: np.ndarray, v2: np.ndarray, tol: float):
@@ -287,9 +284,10 @@ def coeff_table(params: AffineParams, ts: Iterable[int], tol: float = 1e-12,
                 level: Optional[int] = None) -> CoeffTable:
     """mu^(t) (level None, truncated at tol) or mu_N^(t) at level N, for every t.
 
-    One batched pass: the t are grouped by product depth into blocks of
-    _BLOCK and each block runs through one split re/im kernel, so every
-    value is bit-identical to the scalar complex formula of coeff_limit or
+    One batched pass: the nonzero t, of any size or sign, are sorted by
+    product depth into blocks of _BLOCK, and each block runs through one
+    split re/im kernel fed by one phase source (_phases), so every value is
+    bit-identical to the scalar complex formula of coeff_limit or
     coeff_recursive for that t alone.  tail_bound covers the truncation of
     the infinite product only, not floating-point rounding.
     """
@@ -315,50 +313,43 @@ def coeff_table(params: AffineParams, ts: Iterable[int], tol: float = 1e-12,
             re[:] = [v.real for v in vals]
             im[:] = [v.imag for v in vals]
             return CoeffTable(re, im, np.hypot(re, im), tail, depth)
-        t64, wide = _split_wide(ts)
-        nonzero = (t64 != 0) | wide
+        ts = np.array(ts, dtype=object)
+        nonzero = ts != 0
         re[~nonzero] = 1.0
         idx = np.flatnonzero(nonzero)
         # b != 0 with A <= 2: the limit is exactly 0 off t = 0.
         zero_limit = level is None and not params.homogeneous and params.a <= 2
         if idx.size and not zero_limit:
-            v2 = _valuations(ts, t64, wide, idx)
+            tn = ts[idx]
+            low = (tn & _LOW_BITS).astype(np.int64)
+            # t and low = t mod 2^63 share their 2-adic valuation unless low = 0.
+            v2 = np.frexp((low & -low).astype(np.float64))[1].astype(np.int64) - 1
+            for j in np.flatnonzero(low == 0).tolist():
+                v2[j] = _v2(tn[j])
             if level is None:
-                tabs = np.abs(t64[idx].astype(np.float64))
-                for j in np.flatnonzero(wide[idx]).tolist():
-                    try:
-                        tabs[j] = float(abs(ts[idx[j]]))
-                    except OverflowError:
-                        raise DomainError(_DEPTH_RANGE) from None
+                try:
+                    tabs = np.abs(tn.astype(np.float64))
+                except OverflowError:
+                    raise DomainError(_DEPTH_RANGE) from None
                 depth[idx], tail[idx] = _product_depths(params, tabs, v2, tol)
                 if not params.homogeneous:
                     k, norm = v2 + 1, _normaliser(sigma_inf(params))
             else:
                 depth[idx] = level
                 k, norm = np.minimum(v2 + 1, level), _normaliser(sigma_norm(params, level))
-            _evaluate(params, ts, t64, wide, idx, depth, k, norm, re, im)
+            _evaluate(params, tn, low, idx, depth, k, norm, re, im)
         return CoeffTable(re, im, np.hypot(re, im), tail, depth)
 
 
-def _evaluate(params, ts, t64, wide, idx, depth, k, norm, re, im) -> None:
-    """Run the kernel over idx in depth-sorted blocks, writing re/im in place.
-
-    k is aligned with idx.  t whose residues fit in int64 take their phases
-    from _residue_phases; the rest (beyond int64, or negative with depth
-    above 63) take them from _unit_phase.
-    """
-    d = depth[idx]
-    fast = ~wide[idx] & ((t64[idx] >= 0) | (d <= 63)) & (d <= 1022)
-    for group in (np.flatnonzero(fast), np.flatnonzero(~fast)):
-        group = group[np.argsort(-d[group], kind="stable")]
-        for lo in range(0, group.size, _BLOCK):
-            blk = group[lo:lo + _BLOCK]
-            pos = idx[blk]
-            if fast[blk[0]]:
-                phase = _residue_phases(t64[pos])
-            else:
-                phase = _python_phases([ts[i] for i in pos.tolist()])
-            re[pos], im[pos] = _kernel(params, phase, depth[pos], None if k is None else k[blk], norm)
+def _evaluate(params, tn, low, idx, depth, k, norm, re, im) -> None:
+    """Run the kernel over the nonzero t (tn, at positions idx, with low and
+    k aligned to idx) in depth-sorted blocks, writing re/im in place."""
+    order = np.argsort(-depth[idx], kind="stable")
+    for lo in range(0, order.size, _BLOCK):
+        blk = order[lo:lo + _BLOCK]
+        pos = idx[blk]
+        phase = _phases(tn[blk], low[blk])
+        re[pos], im[pos] = _kernel(params, phase, depth[pos], None if k is None else k[blk], norm)
 
 
 def direct_table(comb: Approximant, ts: Iterable[int]) -> CoeffTable:

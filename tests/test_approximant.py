@@ -301,6 +301,8 @@ def test_dyadic_interval_basics():
     assert str(e) == "011" and str(DyadicInterval()) == "(torus)"
     with pytest.raises(ValueError):
         DyadicInterval.from_bits("012")
+    with pytest.raises(DomainError, match="bits must be 0/1"):
+        DyadicInterval.from_bits(b"0110")
 
 
 # ----------------------------------------------------------------------

@@ -310,6 +310,18 @@ def test_csv_round_trip_bytes(tmp_path, capsys):
     assert regenerated == text
 
 
+def test_out_file_gets_the_mode_open_would_give(tmp_path, capsys):
+    out_path = tmp_path / "g.csv"
+    umask = os.umask(0o027)
+    try:
+        code, _, _ = run_cli(capsys, "cdf", "--catalog", "gould_G", "--N", "4",
+                             "--grid", "4", "--out", str(out_path))
+    finally:
+        os.umask(umask)
+    assert code == 0
+    assert out_path.stat().st_mode & 0o777 == 0o640
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 

@@ -11,6 +11,7 @@ draws the same examples and the suite's time barely moves.
 import contextlib
 import io
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -42,7 +43,7 @@ from ghostmeasure import (
     wiener_profile,
 )
 from ghostmeasure.cli import main
-from ghostmeasure.fourier import TAU, _unit_phase, _v2
+from ghostmeasure.fourier import _BLOCK, TAU, _phases, _unit_phase, _v2
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 FUZZ = settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -399,6 +400,42 @@ def test_recursive_kernel_matches_scalar_loops(p, level, ts):
     want = oracle_outcome(lambda: recursive_oracle(p, level, ts[0]))
     got = outcome(lambda: coeff_recursive(p, level, ts[0]))
     assert want == got if want == "error" else bits(got.real) + bits(got.imag) == bits(want.real) + bits(want.imag)
+
+
+PHASE_T = st.one_of(KERNEL_T, st.sampled_from([2**53 + 1, 2**62 + 1, 2**63 - 3]),
+                    st.integers(2**53, 2**63 - 1))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.lists(PHASE_T, min_size=1, max_size=8))
+def test_phases_match_unit_phase(ts):
+    """Every phase of the kernel's one phase source equals _unit_phase bit for
+    bit at every level a limit or recursive table can reach, for each prefix."""
+    ts = np.array(ts, dtype=object)
+    phase = _phases(ts, (ts & (2**63 - 1)).astype(np.int64))
+    for n in range(1, 1101):
+        m = len(ts) - n % len(ts)
+        re, im = phase(n, m)
+        assert len(re) == len(im) == m
+        for t, x, y in zip(ts, re.tolist(), im.tolist()):
+            z = _unit_phase(t, n)
+            assert (bits(x), bits(y)) == (bits(z.real), bits(z.imag)), (t, n)
+
+
+def test_table_across_blocks_matches_scalar_loops():
+    """One table of more than _BLOCK t, mixing small positive t, negative t
+    deeper than 63, t beyond int64 and nonzero multiples of 2^63, equals the
+    scalar loops bit for bit in limit and recursive mode."""
+    rng = random.Random(5)
+    ts = (list(range(1, 1400)) + [2**40 + 3 * j for j in range(200)]
+          + [-(2**30) - 7 * j for j in range(400)] + [2**100 + 3 + 2 * j for j in range(60)]
+          + [j * 2**63 for j in (1, -1, 2, 3, -5, 7)] + [3**60, -(2**90), 2**63 - 1, -(2**63) - 1])
+    rng.shuffle(ts)
+    assert len(ts) > _BLOCK
+    p = AffineParams(1, 2, 0, 1, 1)
+    assert_table_matches(coeff_table(p, ts), [limit_oracle(p, t, 1e-12) for t in ts])
+    want = [(recursive_oracle(p, 70, t), 0.0, 70) for t in ts]
+    assert_table_matches(coeff_table(p, ts, level=70), want)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)
