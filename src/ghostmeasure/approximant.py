@@ -15,10 +15,10 @@ in the value of f at the prefix (sequence._block_sum), so a dyadic mass
 is one block sum and F_N at an atom is at most N of them, one per 1-digit
 of the atom's index.  The exact atoms (Approximant.weights) are built only
 when read, by tests that use them as the brute-force oracle.  Fourier
-coefficients come from Approximant.spectrum: the atoms as doubles (built
-in int64 when they fit, else from Python integers) and one real FFT of
-them, which serves every t; each value carries the a-priori rounding bound
-derived in Spectrum.
+coefficients come from Approximant.spectrum: the atoms as doubles, read
+off the one region builder (sequence._region, int64 when the values fit,
+else Python integers), and one real FFT of them, which serves every t;
+each value carries the a-priori rounding bound derived in Spectrum.
 
 DyadicInterval names the half-open interval left-closed at its bit prefix:
 bits x1..xi stand for [(0.x1..xi00...)_2, (0.x1..xi11...)_2), of Lebesgue
@@ -37,7 +37,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from .errors import DomainError
-from .sequence import AffineParams, _block_sum, _check_level, big_sigma, eval_f, eval_region
+from .sequence import AffineParams, _block_sum, _check_level, _region, big_sigma, eval_f
 from ._util import parse_bits
 
 
@@ -96,7 +96,7 @@ class Approximant:
     def weights(self) -> tuple[int, ...]:
         """weights[n] = f(2^N + n): all 2^N atoms, built on first read and kept."""
         # build_comb has applied the level cap already.
-        return tuple(eval_region(self.params, self.level, max_level=self.level))
+        return tuple(_region(self.params, self.level).tolist())
 
     @cached_property
     def spectrum(self) -> "Spectrum":
@@ -110,48 +110,19 @@ class Approximant:
         return Spectrum(self.level, bins, total, _rounding_bound(self.level, shift, self.total))
 
 
-def _int64_region(params: AffineParams, level: int) -> Optional[np.ndarray]:
-    """Region N as int64, built level by level, or None if a value could reach 2^63.
-
-    Every value of every level is at most the max-branch bound
-    v <- max(A0,A1) v + max(b0,b1) from v = f(1) (the coefficients are
-    non-negative), so while that bound and the coefficients stay below 2^63
-    no product or sum can overflow.
-    """
-    amax, bmax = max(params.a0, params.a1), max(params.b0, params.b1)
-    v = params.f1
-    if max(amax, bmax, v) >> 63:
-        return None
-    for _ in range(level):
-        v = amax * v + bmax
-        if v >> 63:
-            return None
-    region = np.array([params.f1], dtype=np.int64)
-    for _ in range(level):
-        nxt = np.empty(2 * region.size, dtype=np.int64)
-        for d in (0, 1):
-            a, b = params.branch(d)
-            np.multiply(region, a, out=nxt[d::2])  # v[2m+d] = A_d v[m] + b_d
-            nxt[d::2] += b
-        region = nxt
-    return region
-
-
 def _float_weights(params: AffineParams, level: int, total: int) -> tuple[np.ndarray, float, int]:
     """(atoms, total, s): atoms and total right-shifted by s bits, as doubles.
 
     s > 0 only when the total is beyond the double range; the common shift
-    keeps the normalised ratios to ~2^-850.  The int64 region serves when
-    it fits and s = 0, the Python-int region otherwise.  Each conversion is
-    correctly rounded.
+    keeps the normalised ratios to ~2^-850.  The atoms are the region of
+    sequence._region, int64 or Python integers; each conversion to double
+    is correctly rounded.
     """
     shift = max(total.bit_length() - 900, 0)
-    region = None if shift else _int64_region(params, level)
-    if region is not None:
-        return region.astype(np.float64), float(total), 0
-    values = eval_region(params, level, max_level=level)
-    w = np.fromiter((x >> shift for x in values), dtype=np.float64, count=len(values))
-    return w, float(total >> shift), shift
+    region = _region(params, level)
+    if shift:
+        region = region >> shift
+    return region.astype(np.float64), float(total >> shift), shift
 
 
 # Unit roundoff of double, and the error assumed for pocketfft's twiddles

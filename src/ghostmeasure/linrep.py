@@ -91,13 +91,15 @@ def eval_via_linrep(rep: LinearRepresentation, n: int) -> int:
 
 
 def spectral_diagnostic(params: AffineParams) -> SpectralDiagnostic:
-    """rho, rho* and log2(rho/rho*) by the family closed forms."""
+    """rho, rho* and log2(rho/rho*) by the family closed forms.
+
+    rho* >= 1: AffineParams rejects all-zero coefficients, so a homogeneous
+    set has max(A0, A1) >= 1; an inhomogeneous one takes max(A0, A1, 1).
+    """
     if params.homogeneous:
         rho = params.a
         rho_star = max(params.a0, params.a1)
     else:
         rho = max(params.a, 2)
         rho_star = max(params.a0, params.a1, 1)
-    if rho_star == 0:
-        raise DomainError("joint spectral radius is zero (all matrices nilpotent)")
     return SpectralDiagnostic(rho, rho_star, math.log2(rho / rho_star))

@@ -26,6 +26,8 @@ The normalised sum sigma(N) = Sigma(N)/A^N converges for A > 2 to
 f(1) + b/(A-2).
 
 All values are exact: big integers for f and Sigma, Fraction for sigma.
+Every whole region comes from one builder, _region: int64 while the values
+fit, Python integers otherwise.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
+
+import numpy as np
 
 from ._util import int_from_env
 from .errors import CatalogError, DomainError, ResourceCapError
@@ -119,21 +123,36 @@ def _check_level(level: int, max_level: Optional[int]) -> None:
             f"(override with {_ENV_MAX_LEVEL} or max_level=)")
 
 
-def eval_region(params: AffineParams, level: int, max_level: Optional[int] = None) -> list[int]:
-    """[f(2^N), ..., f(2^{N+1}-1)] for N = level.
+def _region(params: AffineParams, level: int) -> np.ndarray:
+    """f(2^N), ..., f(2^{N+1}-1) for N = level: int64 when every value fits.
 
-    Built in linear time: every value of region N-1 spawns its two children,
-    so region N costs 2^N work rather than 2^N digit descents.
+    Every value of region N-1 spawns its two children, v[2m+d] = A_d v[m] + b_d,
+    so region N costs 2^N work, not 2^N digit descents.  Every value of every
+    level is at most the max-branch bound v <- max(A0,A1) v + max(b0,b1) from
+    f(1) (the coefficients are non-negative), so while that bound and the
+    coefficients stay below 2^63 no int64 step overflows; otherwise the same
+    loop runs over Python integers (dtype=object).
     """
-    _check_level(level, max_level)
-    a0, a1, b0, b1 = params.a0, params.a1, params.b0, params.b1
-    region = [params.f1]
+    amax, bmax = max(params.a0, params.a1), max(params.b0, params.b1)
+    v, peak = params.f1, max(amax, bmax, params.f1)
     for _ in range(level):
-        nxt = [0] * (2 * len(region))
-        nxt[0::2] = [a0 * v + b0 for v in region]
-        nxt[1::2] = [a1 * v + b1 for v in region]
+        v = amax * v + bmax
+        peak = max(peak, v)
+    region = np.array([params.f1], dtype=object if peak >> 63 else np.int64)
+    for _ in range(level):
+        nxt = np.empty(2 * region.size, dtype=region.dtype)
+        for d in (0, 1):
+            a, b = params.branch(d)
+            np.multiply(region, a, out=nxt[d::2])
+            nxt[d::2] += b
         region = nxt
     return region
+
+
+def eval_region(params: AffineParams, level: int, max_level: Optional[int] = None) -> list[int]:
+    """[f(2^N), ..., f(2^{N+1}-1)] for N = level, as Python integers, under the level cap."""
+    _check_level(level, max_level)
+    return _region(params, level).tolist()
 
 
 def _block_sum(params: AffineParams, value: int, depth: int) -> int:

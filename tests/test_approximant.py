@@ -1,4 +1,4 @@
-"""Comb construction, the comb spectrum and its int64 region, CDFs and interval masses."""
+"""Comb construction, the comb spectrum and its region, CDFs and interval masses."""
 
 import cmath
 import itertools
@@ -24,7 +24,8 @@ from ghostmeasure import (
     eval_region,
     interval_mass,
 )
-from ghostmeasure.approximant import _float_weights, _int64_region
+from ghostmeasure.approximant import _float_weights
+from ghostmeasure.sequence import _region
 
 CATALOG_NAMES = [
     "constant", "identity", "gould_g", "gould_G", "ruler_r",
@@ -119,7 +120,7 @@ def test_fourier_huge_weights_stay_normalised():
 
 
 # ----------------------------------------------------------------------
-# The comb spectrum: long-double FFT, int64 region, memory
+# The comb spectrum: long-double FFT, the region and its dtype, memory
 # ----------------------------------------------------------------------
 
 # 1B, 2B, 2C, 2D both ways, values past 2^63 from N = 17 on, Cantor, and a
@@ -169,24 +170,43 @@ def max_branch_bound(p, level):
     return max(v, p.f1, p.a0, p.a1, p.b0, p.b1)
 
 
-def test_int64_region_matches_eval_region():
+def region_oracle(p, level):
+    """Region N by the Python-int list recurrence, independent of numpy."""
+    region = [p.f1]
+    for _ in range(level):
+        nxt = [0] * (2 * len(region))
+        nxt[0::2] = [p.a0 * v + p.b0 for v in region]
+        nxt[1::2] = [p.a1 * v + p.b1 for v in region]
+        region = nxt
+    return region
+
+
+def test_region_dtype_boundary():
     below = AffineParams(2, 2, 0, 1, 2**43 - 1)  # f(2^21 - 1) = 2^63 - 1
     above = AffineParams(2, 2, 0, 1, 2**43)      # f(2^21 - 1) = 2^63 + 2^20 - 1
     big = AffineParams(6, 9, 1, 2, 1)            # past 2^63 from N = 20 on
     for p in (below, above, big):
         for level in range(21):
-            exact = eval_region(p, level)
-            region = _int64_region(p, level)
-            assert (region is None) == (max_branch_bound(p, level) >= 2**63), (p, level)
-            if region is not None:
-                assert region.tolist() == exact
-        # N = 20: the int64 region where it fits, the Python-int region otherwise
+            exact = region_oracle(p, level)
+            region = _region(p, level)
+            fits = max_branch_bound(p, level) < 2**63
+            assert region.dtype == (np.int64 if fits else object), (p, level)
+            assert region.tolist() == exact
+        # N = 20, int64 for below, Python ints for the others: the exact atoms are
+        # Python ints either way (an int64 sum(w[lo:hi]) would wrap silently),
+        # and the float atoms are correctly rounded.
+        for values in (eval_region(p, 20), build_comb(p, 20).weights):
+            assert list(values) == exact and all(type(x) is int for x in values)
         w, total, shift = _float_weights(p, 20, sum(exact))
         assert shift == 0 and total == float(sum(exact))
         assert w.tolist() == [float(x) for x in exact]
-    assert _int64_region(below, 20).max() == 2**63 - 1
-    assert _int64_region(above, 19) is not None and _int64_region(above, 20) is None
-    assert _int64_region(big, 19) is not None and _int64_region(big, 20) is None
+    assert _region(below, 20).dtype == np.int64 and _region(below, 20).max() == 2**63 - 1
+    assert _region(above, 19).dtype == np.int64 and _region(above, 20).dtype == object
+    assert _region(big, 19).dtype == np.int64 and _region(big, 20).dtype == object
+    wide = AffineParams(2**63, 1, 1, 0, 0)  # f(1) = 0: a coefficient, not a value, passes 2^63
+    for level in range(4):
+        assert _region(wide, level).dtype == object
+        assert eval_region(wide, level) == region_oracle(wide, level)
 
 
 def test_float_weights_pre_shift():

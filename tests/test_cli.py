@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import ghostmeasure
+from ghostmeasure import AffineParams, eval_f
 from ghostmeasure.cli import build_parser, main
 
 
@@ -38,6 +39,15 @@ def test_eval_single_value(capsys):
 def test_eval_region_dump(capsys):
     code, out, _ = run_cli(capsys, "eval", "--params", "2", "2", "0", "1", "1", "--region", "3")
     assert code == 0 and out == "8,9,10,11,12,13,14,15\n"
+
+
+def test_eval_region_dump_beyond_int64(capsys):
+    # 2^80 coefficients: the region is built from Python ints, not int64.
+    params = AffineParams(2**80, 2**80 - 1, 0, 1, 1)
+    argv = [str(x) for x in (params.a0, params.a1, params.b0, params.b1, params.f1)]
+    code, out, _ = run_cli(capsys, "eval", "--params", *argv, "--region", "3")
+    assert code == 0
+    assert out == ",".join(str(eval_f(params, n)) for n in range(8, 16)) + "\n"
 
 
 def test_eval_domain_error_exit_code(capsys):
