@@ -17,7 +17,6 @@ from .approximant import (
     build_comb,
     cdf,
     cdf_series,
-    direct_fourier,
     interval_mass,
 )
 from .errors import CatalogError, DomainError, ResourceCapError
@@ -29,6 +28,7 @@ from .fourier import (
     coeff_recursive,
     coeff_table,
     coefficient_bracket,
+    direct_fourier,
     direct_table,
     domination_constant,
     kappa_1b,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import os
 
 from .errors import DomainError, ResourceCapError
@@ -25,7 +26,10 @@ def parse_bits(bits) -> tuple[int, ...]:
         if bits.strip("01"):
             raise DomainError(f"bit string may contain only 0 and 1, got {bits!r}")
         return tuple(map(int, bits))
-    out = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in out):
+    try:
+        out = tuple(map(operator.index, bits))  # ints only: no '1', no 1.5
+    except TypeError:
+        out = None
+    if out is None or any(b not in (0, 1) for b in out):
         raise DomainError(f"bits must be 0/1, got {bits!r}")
     return out

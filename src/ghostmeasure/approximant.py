@@ -14,11 +14,11 @@ The atoms below a dyadic prefix form a block whose sum has a closed form
 in the value of f at the prefix (sequence._block_sum), so a dyadic mass
 is one block sum and F_N at an atom is at most N of them, one per 1-digit
 of the atom's index.  The exact atoms (Approximant.weights) are built only
-when read, by tests that use them as the brute-force oracle.  Fourier
-coefficients come from Approximant.spectrum: the atoms as doubles, read
-off the one region builder (sequence._region, int64 when the values fit,
-else Python integers), and one real FFT of them, which serves every t;
-each value carries the a-priori rounding bound derived in Spectrum.
+when read, by tests that use them as the brute-force oracle.
+Approximant.spectrum is one real FFT of the atoms as doubles, read off the
+one region builder (sequence._region, int64 when the values fit, else
+Python integers), with the a-priori rounding bound derived in Spectrum;
+fourier.direct_table reads every coefficient mu_N^(t) off it.
 
 DyadicInterval names the half-open interval left-closed at its bit prefix:
 bits x1..xi stand for [(0.x1..xi00...)_2, (0.x1..xi11...)_2), of Lebesgue
@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -43,13 +43,17 @@ from ._util import parse_bits
 
 @dataclass(frozen=True)
 class DyadicInterval:
-    """E(x1..xi) = [(0.x1..xi)_2, (0.x1..xi)_2 + 2^-i), the whole torus for i=0."""
+    """E(x1..xi) = [(0.x1..xi)_2, (0.x1..xi)_2 + 2^-i), the whole torus for i=0;
+    bits takes whatever parse_bits accepts and holds its 0/1 int tuple."""
 
     bits: tuple[int, ...] = ()
 
+    def __post_init__(self):
+        object.__setattr__(self, "bits", parse_bits(self.bits))
+
     @classmethod
     def from_bits(cls, bits) -> "DyadicInterval":
-        return cls(parse_bits(bits))
+        return cls(bits)
 
     @property
     def depth(self) -> int:
@@ -72,8 +76,6 @@ class DyadicInterval:
         return Fraction(1, 1 << self.depth)
 
     def child(self, bit: int) -> "DyadicInterval":
-        if bit not in (0, 1):
-            raise DomainError("child bit must be 0 or 1")
         return DyadicInterval(self.bits + (bit,))
 
     def __str__(self):
@@ -107,7 +109,7 @@ class Approximant:
         w, total, shift = _float_weights(self.params, self.level, self.total)
         # np.fft is read here, not at import: numpy loads it on first use.
         bins = np.fft.rfft(w)
-        return Spectrum(self.level, bins, total, _rounding_bound(self.level, shift, self.total))
+        return Spectrum(bins, total, _rounding_bound(self.level, shift, self.total))
 
 
 def _float_weights(params: AffineParams, level: int, total: int) -> tuple[np.ndarray, float, int]:
@@ -194,52 +196,20 @@ class Spectrum:
     direct sum, each within B.
     """
 
-    level: int
     bins: np.ndarray
     total: float
     bound: float
 
-    def coefficients(self, ts: Iterable[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(re, im, bound) of mu_N^(t) for each t.
 
-        With r = t mod 2^N: bin r for r <= 2^(N-1), else the conjugate of bin
-        2^N - r (the atoms are real); r = 0 is exactly 1 with bound 0.
-        """
-        size = 1 << self.level
-        r = np.array([t % size for t in ts], dtype=np.int64)
-        upper = r > size >> 1
-        z = self.bins[np.where(upper, size - r, r)]
-        re = z.real / self.total
-        im = np.where(upper, -z.imag, z.imag) / self.total
-        zero = r == 0
-        re[zero], im[zero] = 1.0, 0.0
-        return re, im, np.where(zero, 0.0, self.bound)
-
-
-def build_comb(params: AffineParams, level: int, max_level: Optional[int] = None) -> Approximant:
+def build_comb(params: AffineParams, level: int) -> Approximant:
     """Construct mu_N, its total from the closed form; the atoms are built only when read.
 
     The level cap applies here, as if the 2^N atoms were built now.
     """
     if params.is_null_sequence:
         raise DomainError("sequence is identically zero (homogeneous with f(1)=0)")
-    _check_level(level, max_level)
+    _check_level(level)
     return Approximant(params, level, big_sigma(params, level))
-
-
-# ----------------------------------------------------------------------
-# Fourier coefficients of the comb
-# ----------------------------------------------------------------------
-
-def direct_fourier(comb: Approximant, t: int) -> complex:
-    """mu_N^(t) = (1/Sigma(N)) * sum_n f(2^N+n) e^{-2 pi i t n / 2^N}.
-
-    A lookup into comb.spectrum, within its rounding bound of the exact
-    value; t = 0 (mod 2^N) returns exactly 1.  For many t,
-    fourier.direct_table reads them all at once, with the bound.
-    """
-    re, im, _ = comb.spectrum.coefficients([t])
-    return complex(float(re[0]), float(im[0]))
 
 
 # ----------------------------------------------------------------------

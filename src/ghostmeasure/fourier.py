@@ -39,8 +39,9 @@ three cases: low & (2^n - 1) for n <= 63, low itself for 64 <= n <= 1022
 when t lies in [0, 2^63), and the scalar _unit_phase for every other
 (t, n), so negative and beyond-int64 t need no path of their own.
 In these tables tail_bound covers only the truncation of the product, not
-rounding.  Direct tables (direct_table) read mu_N^(t) off one real FFT of
-a built comb, and their tail_bound is that FFT's rounding bound.
+rounding.  Direct tables (direct_table, and direct_fourier for one t) are
+the one lookup of mu_N^(t) in the comb's real FFT (approximant.Spectrum),
+and their tail_bound is that FFT's rounding bound.
 """
 
 from __future__ import annotations
@@ -353,14 +354,29 @@ def _evaluate(params, tn, low, idx, depth, k, norm, re, im) -> None:
 
 
 def direct_table(comb: Approximant, ts: Iterable[int]) -> CoeffTable:
-    """mu_N^(t) of a built comb for every t, read off comb.spectrum.
+    """mu_N^(t) = (1/Sigma(N)) sum_n f(2^N+n) e^{-2 pi i t n/2^N} of a built
+    comb for every t, read off comb.spectrum (one real FFT, built on the
+    first call): with r = t mod 2^N, bin r for r <= 2^(N-1), else the
+    conjugate of bin 2^N - r (the atoms are real), over the total.  r = 0 is
+    exactly 1 with bound 0; every other tail_bound is the spectrum's rounding
+    bound (approximant.Spectrum derives it)."""
+    spec, size = comb.spectrum, 1 << comb.level
+    r = np.array([t % size for t in ts], dtype=np.int64)
+    upper = r > size >> 1
+    z = spec.bins[np.where(upper, size - r, r)]
+    re = z.real / spec.total
+    im = np.where(upper, -z.imag, z.imag) / spec.total
+    zero = r == 0
+    re[zero], im[zero] = 1.0, 0.0
+    return CoeffTable(re, im, np.hypot(re, im), np.where(zero, 0.0, spec.bound),
+                      np.full(r.size, comb.level, dtype=np.int64))
 
-    The spectrum (one real FFT of the 2^N atoms) is built on the first call
-    and serves every t; tail_bound is its rounding bound, which holds for
-    each value (approximant.Spectrum derives it).
-    """
-    re, im, bound = comb.spectrum.coefficients(ts)
-    return CoeffTable(re, im, np.hypot(re, im), bound, np.full(re.size, comb.level, dtype=np.int64))
+
+def direct_fourier(comb: Approximant, t: int) -> complex:
+    """mu_N^(t) for one t: direct_table's value, within the comb spectrum's
+    rounding bound of the exact value; t = 0 (mod 2^N) gives exactly 1."""
+    tab = direct_table(comb, [t])
+    return complex(float(tab.re[0]), float(tab.im[0]))
 
 
 def coeff_recursive(params: AffineParams, level: int, t: int) -> complex:

@@ -18,7 +18,9 @@ E(x1..xi) has the exact closed form
 
     mu(E) = (F + b/(A-2)) / (sigma_inf * A^i),    F = f((1 x1 .. xi)_2),
 
-which specialises to the Radon-Nikodym density in case 2B,
+evaluated as (F (A-2) + b) q / ((A-2) p A^i), sigma_inf = p/q, by
+interval_measure and ratio_sequence_exact.  It specialises to the
+Radon-Nikodym density in case 2B,
 
     g(x) = (f(1) + sum_j b_{x_j} A^-j) / (f(1) + b/(2A-2)),   A = A0 = A1,
 
@@ -29,11 +31,11 @@ A1 = 0, A = A0) the measure is purely atomic with weights
     mu({x})  = (b1 + b0/(A-1)) / (A^n * sigma_inf),
 
 where n is the position of the last 1 in x's terminating binary expansion;
-the weights depend on n only.  The mirrored orientation A0 = 0 follows by
-swapping the branch roles and reflecting atom locations x -> 1-x (mod 1),
-which maps terminating expansions to terminating expansions of the same
-last-one position; the mirrored weights are validated against combs in the
-test suite.
+the weights depend on n only (_atoms_2d).  The mirrored orientation A0 = 0
+follows by swapping the branch roles and reflecting atom locations x -> 1-x
+(mod 1), which maps terminating expansions to terminating expansions of the
+same last-one position; the mirrored weights are validated against combs in
+the test suite.
 """
 
 from __future__ import annotations
@@ -107,24 +109,35 @@ def classify(params: AffineParams) -> LebesgueClass:
     return LebesgueClass(MeasureKind.PURE_POINT, "2D", "dyadic-rationals")
 
 
-def interval_measure(params: AffineParams, interval: DyadicInterval) -> Fraction:
-    """mu(E) for a dyadic interval, exact.
-
-    Closed form for A0, A1 > 0 with A0+A1 >= 3 (cases 1B, 2B, 2C); cases
-    1A and 2A are Lebesgue measure, answered as 2^-depth directly.  The
-    pure-point cases have no interval closed form here and raise.
-    """
+def _dyadic_sigma(params: AffineParams, what: str) -> Optional[tuple[int, int]]:
+    """The dyadic closed forms' guard: sigma_inf = p/q as (p, q), or None in
+    cases 1A and 2A (Lebesgue measure).  Raises DomainError, naming `what`,
+    for the null sequence and the pure-point cases."""
     if params.is_null_sequence:
         raise DomainError("sequence is identically zero (homogeneous with f(1)=0)")
     cls = classify(params)
     if cls.case in ("1A", "2A"):
-        return interval.length
+        return None
     if cls.kind is MeasureKind.PURE_POINT:
-        raise DomainError(
-            f"interval closed form requires A0>0 and A1>0 (case {cls.case} is pure point)")
+        raise DomainError(f"{what} requires A0>0 and A1>0 (case {cls.case} is pure point)")
+    return sigma_inf(params).as_integer_ratio()
+
+
+def interval_measure(params: AffineParams, interval: DyadicInterval) -> Fraction:
+    """mu(E) for a dyadic interval, exact.
+
+    The module's closed form, in integers, for A0, A1 > 0 with A0+A1 >= 3
+    (cases 1B, 2B, 2C); cases 1A and 2A are Lebesgue measure, answered as
+    2^-depth directly.  The pure-point cases have no interval closed form
+    here and raise.
+    """
+    pq = _dyadic_sigma(params, "interval closed form")
+    if pq is None:
+        return interval.length
+    p, q = pq
+    a = params.a
     f_lead = eval_f(params, (1 << interval.depth) | interval.index)
-    shift = Fraction(params.b, params.a - 2)
-    return (f_lead + shift) / (sigma_inf(params) * params.a**interval.depth)
+    return Fraction((f_lead * (a - 2) + params.b) * q, (a - 2) * p * a**interval.depth)
 
 
 def density(params: AffineParams, bits, depth: Optional[int] = None) -> DensityEstimate:
@@ -179,11 +192,9 @@ def lambda_threshold(params: AffineParams) -> ConcentrationThreshold:
 def ratio_sequence(params: AffineParams, bits) -> list[float]:
     """mu(E_j(x)) / lambda(E_j(x)) for j = 1..len(bits).
 
-    The exact ratios come from ratio_sequence_exact: one integer fold, one
-    Fraction per value, 2^j (v_j (A-2) + b) q / ((A-2) p A^j) with v_j the
-    value of f at the prefix (1 x1 .. xj)_2 and p/q = sigma_inf.  Each is
-    converted once and correctly rounded: a ratio below the double range
-    becomes 0.0, one above it inf.  In case 2B the ratios converge to the
+    The exact ratios come from ratio_sequence_exact, each converted once and
+    correctly rounded: a ratio below the double range becomes 0.0, one above
+    it inf (every ratio is positive).  In case 2B the ratios converge to the
     density at x; in case 2C they collapse to zero or blow up according to
     the digit densities against lambda_threshold.
     """
@@ -192,22 +203,19 @@ def ratio_sequence(params: AffineParams, bits) -> list[float]:
         try:
             out.append(float(r))
         except OverflowError:
-            out.append(math.inf if r > 0 else -math.inf)
+            out.append(math.inf)
     return out
 
 
 def ratio_sequence_exact(params: AffineParams, bits) -> list[Fraction]:
+    """2^j interval_measure(E(x1..xj)) for j = 1..len(bits): one integer fold
+    over the digits, one Fraction per value."""
     xs = parse_bits(bits)
-    if params.is_null_sequence:
-        raise DomainError("sequence is identically zero (homogeneous with f(1)=0)")
-    cls = classify(params)
-    if cls.case in ("1A", "2A"):
+    pq = _dyadic_sigma(params, "ratio sequence")
+    if pq is None:
         return [Fraction(1)] * len(xs)
-    if cls.kind is MeasureKind.PURE_POINT:
-        raise DomainError(
-            f"ratio sequence requires A0>0 and A1>0 (case {cls.case} is pure point)")
+    p, q = pq
     a = params.a
-    p, q = sigma_inf(params).as_integer_ratio()
     out = []
     v = params.f1
     apow = 1
@@ -223,56 +231,46 @@ def ratio_sequence_exact(params: AffineParams, bits) -> list[Fraction]:
 # Case 2D: pure point weights
 # ----------------------------------------------------------------------
 
-def _orient_2d(params: AffineParams) -> tuple[int, int, int]:
-    """(A, b_keep, b_last) with the zero branch normalised away.
+def _atoms_2d(params: AffineParams) -> tuple[int, Fraction, Fraction]:
+    """(A, mu({0}), w) in case 2D: the atom whose last 1 digit sits at
+    position n >= 1 weighs w / A^n.
 
-    For A1 = 0 the roles are (A0, b0, b1): b0 rides the trailing-zero steps,
-    b1 enters at the last 1 digit.  For A0 = 0 the branch roles swap; atom
+    For A1 = 0, b_keep = b0 rides the trailing-zero steps and b_last = b1
+    enters at the last 1 digit; for A0 = 0 the roles swap, and atom
     locations reflect through x -> 1-x, preserving last-one positions.
     """
     cls = classify(params)
     if cls.case != "2D":
         raise DomainError(f"pure-point weights require case 2D, got case {cls.case}")
-    if params.a1 == 0:
-        return params.a0, params.b0, params.b1
-    return params.a1, params.b1, params.b0
-
-
-def _last_one_position(bits: tuple[int, ...]) -> int:
-    pos = 0
-    for j, x in enumerate(bits, start=1):
-        if x:
-            pos = j
-    return pos
+    a, b_keep, b_last = ((params.a0, params.b0, params.b1) if params.a1 == 0
+                         else (params.a1, params.b1, params.b0))
+    s_inf = sigma_inf(params)
+    keep = Fraction(b_keep, a - 1)
+    return a, (params.f1 + keep) / s_inf, (b_last + keep) / s_inf
 
 
 def point_mass(params: AffineParams, bits) -> Fraction:
     """mu({x}) in case 2D; x given by its terminating binary expansion.
 
     The weight depends only on the position n of the last 1 digit:
-    (b_last + b_keep/(A-1)) / (A^n sigma_inf), and for x = 0 it is
-    (f(1) + b_keep/(A-1)) / sigma_inf.
+    w / A^n, and mu({0}) for x = 0 (see _atoms_2d).
     """
-    a, b_keep, b_last = _orient_2d(params)
+    a, zero, w = _atoms_2d(params)
     xs = parse_bits(bits)
-    n = _last_one_position(xs)
-    s_inf = sigma_inf(params)
-    if n == 0:
-        return (params.f1 + Fraction(b_keep, a - 1)) / s_inf
-    return (b_last + Fraction(b_keep, a - 1)) / (s_inf * a**n)
+    n = max((j for j, x in enumerate(xs, start=1) if x), default=0)
+    return w / a**n if n else zero
 
 
 def point_mass_tail(params: AffineParams, n_max: int) -> Fraction:
     """Total mass of atoms whose last 1 digit sits beyond position n_max.
 
-    Level n carries 2^(n-1) atoms of equal weight; the geometric sum gives
-    (b_last + b_keep/(A-1)) / (A-2) * (2/A)^n_max / sigma_inf exactly.
+    Level n carries 2^(n-1) atoms of weight w / A^n; the geometric sum
+    gives w / (A-2) * (2/A)^n_max exactly.
     """
-    a, b_keep, b_last = _orient_2d(params)
+    a, _, w = _atoms_2d(params)
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    return ((b_last + Fraction(b_keep, a - 1)) / (a - 2)
-            * Fraction(2, a)**n_max / sigma_inf(params))
+    return w / (a - 2) * Fraction(2, a)**n_max
 
 
 def point_mass_total(params: AffineParams, n_max: int) -> tuple[Fraction, Fraction]:
@@ -281,12 +279,9 @@ def point_mass_total(params: AffineParams, n_max: int) -> tuple[Fraction, Fracti
     The atoms exhaust the measure: partial + point_mass_tail(n_max) == 1
     exactly, for every n_max.
     """
-    a, b_keep, b_last = _orient_2d(params)
+    a, partial, w = _atoms_2d(params)
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    s_inf = sigma_inf(params)
-    partial = (params.f1 + Fraction(b_keep, a - 1)) / s_inf
-    level = (b_last + Fraction(b_keep, a - 1)) / s_inf
     for n in range(1, n_max + 1):
-        partial += 2**(n - 1) * level / a**n
+        partial += 2**(n - 1) * w / a**n
     return partial, Fraction(1)

@@ -112,15 +112,13 @@ def eval_f(params: AffineParams, n: int) -> int:
     return v
 
 
-def _check_level(level: int, max_level: Optional[int]) -> None:
+def _check_level(level: int) -> None:
     """Reject a negative region level or one above the cap (2^N values)."""
     if level < 0:
         raise DomainError("region level must be >= 0")
-    cap = max_region_level() if max_level is None else max_level
+    cap = max_region_level()
     if level > cap:
-        raise ResourceCapError(
-            f"region level {level} exceeds cap {cap} "
-            f"(override with {_ENV_MAX_LEVEL} or max_level=)")
+        raise ResourceCapError(f"region level {level} exceeds cap {cap} (override with {_ENV_MAX_LEVEL})")
 
 
 def _region(params: AffineParams, level: int) -> np.ndarray:
@@ -149,9 +147,9 @@ def _region(params: AffineParams, level: int) -> np.ndarray:
     return region
 
 
-def eval_region(params: AffineParams, level: int, max_level: Optional[int] = None) -> list[int]:
+def eval_region(params: AffineParams, level: int) -> list[int]:
     """[f(2^N), ..., f(2^{N+1}-1)] for N = level, as Python integers, under the level cap."""
-    _check_level(level, max_level)
+    _check_level(level)
     return _region(params, level).tolist()
 
 

@@ -140,7 +140,8 @@ def longdouble_errors(p, level):
     size = 1 << level
     atoms = np.array(eval_region(p, level), dtype=np.longdouble)
     ref = np.fft.fft(atoms.astype(np.clongdouble)) / np.longdouble(comb.total)
-    re, im, bound = comb.spectrum.coefficients(range(size))
+    tab = direct_table(comb, range(size))
+    re, im, bound = tab.re, tab.im, tab.tail_bound
     assert re[0] == 1 and im[0] == 0 and bound[0] == 0
     return np.abs((re + 1j * im).astype(np.clongdouble) - ref).astype(float), bound
 
@@ -325,6 +326,20 @@ def test_dyadic_interval_basics():
         DyadicInterval.from_bits(b"0110")
 
 
+def test_dyadic_interval_validates_its_bits():
+    # (0, 2) once printed as "02" and took E(10)'s mass; ("1", "0") raised a
+    # TypeError in .index.
+    for bad in ((0, 2), ("1", "0"), (1.0, 0)):
+        with pytest.raises(DomainError, match="bits must be 0/1"):
+            DyadicInterval(bad)
+    e = DyadicInterval([True, 0, np.int64(1)])
+    assert e.bits == (1, 0, 1) and all(type(x) is int for x in e.bits)
+    assert e == DyadicInterval("101") == DyadicInterval.from_bits("101") == DyadicInterval((1,)).child(0).child(1)
+    assert hash(e) == hash(DyadicInterval.from_bits("101"))
+    with pytest.raises(DomainError):
+        e.child(2)
+
+
 # ----------------------------------------------------------------------
 # closed forms against the materialised comb
 # ----------------------------------------------------------------------
@@ -356,8 +371,9 @@ def test_closed_forms_match_materialised_comb():
                     assert interval_mass(comb, e) == Fraction(sum(w[lo:hi]), total)
 
 
-def test_comb_functionals_do_not_materialise_atoms():
-    comb = build_comb(catalog_lookup("identity").params, 26, max_level=26)
+def test_comb_functionals_do_not_materialise_atoms(monkeypatch):
+    monkeypatch.setenv("GHOSTMEASURE_MAX_LEVEL", "26")
+    comb = build_comb(catalog_lookup("identity").params, 26)
     tracemalloc.start()
     try:
         rows = cdf_series(comb, 1024)
@@ -371,4 +387,4 @@ def test_comb_functionals_do_not_materialise_atoms():
     # f(n) = n: the last atom is f(2^27 - 1)
     assert masses[3] == Fraction((1 << 27) - 1, comb.total)
     with pytest.raises(ResourceCapError):
-        build_comb(catalog_lookup("identity").params, 27, max_level=26)
+        build_comb(catalog_lookup("identity").params, 27)

@@ -1,8 +1,8 @@
 """Property tests: independent evaluation paths agree, exact folds equal their
 term-by-term sums, the batched coefficient kernel equals the scalar complex
 loops bit for bit, direct-mode coefficients lie within their rounding bound
-of summation oracles, 2D atoms exhaust the mass, and the CLI exit-code
-contract holds.
+of summation oracles, the dyadic and 2D closed forms equal their Fraction
+chains, 2D atoms exhaust the mass, and the CLI exit-code contract holds.
 
 Hypothesis runs derandomized with small bounded strategies, so every run
 draws the same examples and the suite's time barely moves.
@@ -25,6 +25,8 @@ from ghostmeasure import (
     build_linrep,
     catalog_names,
     DomainError,
+    DyadicInterval,
+    MeasureKind,
     classify,
     coeff_limit,
     coeff_recursive,
@@ -35,6 +37,8 @@ from ghostmeasure import (
     eval_f,
     eval_region,
     eval_via_linrep,
+    interval_measure,
+    point_mass,
     point_mass_tail,
     point_mass_total,
     ratio_sequence_exact,
@@ -154,6 +158,153 @@ def test_2d_atoms_and_tail_exhaust_the_mass(p, n):
     partial, total = point_mass_total(p, n)
     assert total == 1
     assert partial + point_mass_tail(p, n) == 1
+
+
+# The closed forms as Fraction chains, with their case guards: the dyadic
+# mass (F + b/(A-2)) / (sigma_inf A^i) and the 2D atom weights from the
+# oriented (A, b_keep, b_last).
+
+def dyadic_guard_oracle(p: AffineParams, what: str) -> bool:
+    """True for the Lebesgue cases 1A/2A; raises for null and pure-point sequences."""
+    if p.is_null_sequence:
+        raise DomainError("sequence is identically zero (homogeneous with f(1)=0)")
+    cls = classify(p)
+    if cls.case in ("1A", "2A"):
+        return True
+    if cls.kind is MeasureKind.PURE_POINT:
+        raise DomainError(f"{what} requires A0>0 and A1>0 (case {cls.case} is pure point)")
+    return False
+
+
+def interval_measure_oracle(p: AffineParams, interval: DyadicInterval) -> Fraction:
+    if dyadic_guard_oracle(p, "interval closed form"):
+        return interval.length
+    f_lead = eval_f(p, (1 << interval.depth) | interval.index)
+    shift = Fraction(p.b, p.a - 2)
+    return (f_lead + shift) / (sigma_inf(p) * p.a**interval.depth)
+
+
+def ratio_sequence_exact_oracle(p: AffineParams, bits: str) -> list[Fraction]:
+    if bits.strip("01"):
+        raise DomainError(f"bit string may contain only 0 and 1, got {bits!r}")
+    if dyadic_guard_oracle(p, "ratio sequence"):
+        return [Fraction(1)] * len(bits)
+    return ratio_sequence_oracle(p, bits)
+
+
+def orient_2d_oracle(p: AffineParams) -> tuple[int, int, int]:
+    """(A, b_keep, b_last): A1 = 0 gives (A0, b0, b1), A0 = 0 swaps the roles."""
+    cls = classify(p)
+    if cls.case != "2D":
+        raise DomainError(f"pure-point weights require case 2D, got case {cls.case}")
+    if p.a1 == 0:
+        return p.a0, p.b0, p.b1
+    return p.a1, p.b1, p.b0
+
+
+def last_one_position_oracle(bits: str) -> int:
+    pos = 0
+    for j, x in enumerate(bits, start=1):
+        if x == "1":
+            pos = j
+    return pos
+
+
+def point_mass_oracle(p: AffineParams, bits: str) -> Fraction:
+    a, b_keep, b_last = orient_2d_oracle(p)
+    if bits.strip("01"):
+        raise DomainError(f"bit string may contain only 0 and 1, got {bits!r}")
+    n = last_one_position_oracle(bits)
+    s_inf = sigma_inf(p)
+    if n == 0:
+        return (p.f1 + Fraction(b_keep, a - 1)) / s_inf
+    return (b_last + Fraction(b_keep, a - 1)) / (s_inf * a**n)
+
+
+def point_mass_sum_oracle(p: AffineParams, n_max: int) -> tuple[Fraction, Fraction]:
+    """(point_mass_tail, point_mass_total's partial) from the oriented weights."""
+    a, b_keep, b_last = orient_2d_oracle(p)
+    if n_max < 0:
+        raise DomainError("n_max must be >= 0")
+    s_inf = sigma_inf(p)
+    level = (b_last + Fraction(b_keep, a - 1)) / s_inf
+    partial = (p.f1 + Fraction(b_keep, a - 1)) / s_inf + sum(
+        (2**(n - 1) * level / a**n for n in range(1, n_max + 1)), Fraction(0))
+    return level / (a - 2) * Fraction(2, a)**n_max, partial
+
+
+def value_or_message(fn):
+    """fn()'s result, or the message of the DomainError it raises."""
+    try:
+        return fn()
+    except DomainError as e:
+        return f"DomainError: {e}"
+
+
+POSITIVE = st.sampled_from([1, 2, 3, 4, 2**80])
+NONZERO_B = st.tuples(COEFF, COEFF).filter(any)
+UNEQUAL = st.tuples(POSITIVE, POSITIVE).filter(lambda a: a[0] != a[1])
+# Cases 1A, 1B, 2A, 2B and 2C; f(1) = 0 is drawn wherever b != 0 keeps f non-null.
+DYADIC_PARAMS = st.one_of(
+    st.builds(lambda a, f1: AffineParams(a, a, 0, 0, f1), POSITIVE, POSITIVE),
+    st.builds(lambda a, f1: AffineParams(*a, 0, 0, f1), UNEQUAL, POSITIVE),
+    st.builds(lambda a, b, f1: AffineParams(*a, *b, f1),
+              st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]), NONZERO_B, COEFF),
+    st.builds(lambda a, b, f1: AffineParams(a, a, *b, f1),
+              st.sampled_from([2, 3, 4, 2**80]), NONZERO_B, COEFF),
+    st.builds(lambda a, b, f1: AffineParams(*a, *b, f1), UNEQUAL, NONZERO_B, COEFF),
+)
+DIGITS = st.text(alphabet="01", max_size=64)
+
+
+@PROPERTY
+@given(DYADIC_PARAMS, DIGITS)
+def test_dyadic_closed_form_matches_fraction_chain(p, bits):
+    ratios = ratio_sequence_exact(p, bits)
+    assert ratios == ratio_sequence_exact_oracle(p, bits)
+    for j in range(len(bits) + 1):
+        e = DyadicInterval.from_bits(bits[:j])
+        mass = interval_measure(p, e)
+        assert mass == interval_measure_oracle(p, e)
+        if j:
+            assert ratios[j - 1] == 2**j * mass
+
+
+@PROPERTY
+@given(params_2d(), st.integers(1, 64), st.data())
+def test_2d_point_mass_matches_oriented_weights(p, n, data):
+    prefix = data.draw(st.text(alphabet="01", min_size=n - 1, max_size=n - 1))
+    x_n = prefix + "1" + "0" * data.draw(st.integers(0, 3))  # last 1 digit at position n
+    for bits in ("", "0" * n, x_n):
+        assert point_mass(p, bits) == point_mass_oracle(p, bits)
+        assert point_mass(p, tuple(map(int, bits))) == point_mass_oracle(p, bits)
+    assert point_mass(p, "") == point_mass_total(p, 0)[0]
+    assert 2**(n - 1) * point_mass(p, x_n) == point_mass_total(p, n)[0] - point_mass_total(p, n - 1)[0]
+    assert (point_mass_tail(p, n), point_mass_total(p, n)[0]) == point_mass_sum_oracle(p, n)
+
+
+NULL_PARAMS = st.tuples(COEFF, COEFF).filter(any).map(lambda a: AffineParams(*a, 0, 0, 0))
+
+
+@PROPERTY
+@given(st.one_of(affine_params(), DYADIC_PARAMS, params_2d(), NULL_PARAMS),
+       st.one_of(DIGITS, st.sampled_from(["012", " 1", "2"])), st.integers(-2, 6))
+def test_closed_forms_raise_where_the_fraction_chains_do(p, bits, n):
+    if not bits.strip("01"):
+        e = DyadicInterval.from_bits(bits)
+        assert value_or_message(lambda: interval_measure(p, e)) == value_or_message(
+            lambda: interval_measure_oracle(p, e))
+    assert value_or_message(lambda: ratio_sequence_exact(p, bits)) == value_or_message(
+        lambda: ratio_sequence_exact_oracle(p, bits))
+    assert value_or_message(lambda: point_mass(p, bits)) == value_or_message(
+        lambda: point_mass_oracle(p, bits))
+    want = value_or_message(lambda: point_mass_sum_oracle(p, n))
+    got_tail = value_or_message(lambda: point_mass_tail(p, n))
+    got_total = value_or_message(lambda: point_mass_total(p, n))
+    if isinstance(want, str):
+        assert got_tail == got_total == want
+    else:
+        assert (got_tail, got_total) == (want[0], (want[1], 1))
 
 
 # ----------------------------------------------------------------------

