@@ -1,4 +1,10 @@
-"""Small numeric helpers used by several modules."""
+"""Small numeric helpers used by several modules.
+
+numpy() is the one way the package reaches numpy: every function that
+computes with it calls numpy() (most start with np = numpy()), so numpy
+loads on the first such call, and importing the package or running an
+exact command never loads it.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +12,13 @@ import operator
 import os
 
 from .errors import DomainError, ResourceCapError
+
+
+def numpy():
+    """The numpy module, imported on the first call (later calls hit sys.modules)."""
+    import numpy
+
+    return numpy
 
 
 def int_from_env(name: str, default: int) -> int:

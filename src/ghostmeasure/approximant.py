@@ -18,7 +18,9 @@ when read, by tests that use them as the brute-force oracle.
 Approximant.spectrum is one real FFT of the atoms as doubles, read off the
 one region builder (sequence._region, int64 when the values fit, else
 Python integers), with the a-priori rounding bound derived in Spectrum;
-fourier.direct_table reads every coefficient mu_N^(t) off it.
+fourier.direct_table reads every coefficient mu_N^(t) off it.  Only the
+spectrum and the atoms compute with numpy (through _util.numpy), so the
+exact functionals run without loading it.
 
 DyadicInterval names the half-open interval left-closed at its bit prefix:
 bits x1..xi stand for [(0.x1..xi00...)_2, (0.x1..xi11...)_2), of Lebesgue
@@ -32,13 +34,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .errors import DomainError
 from .sequence import AffineParams, _block_sum, _check_level, _region, big_sigma, eval_f
-from ._util import parse_bits
+from ._util import numpy, parse_bits
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -107,8 +110,7 @@ class Approximant:
         The exact integer atoms (weights) are not built for it.
         """
         w, total, shift = _float_weights(self.params, self.level, self.total)
-        # np.fft is read here, not at import: numpy loads it on first use.
-        bins = np.fft.rfft(w)
+        bins = numpy().fft.rfft(w)
         return Spectrum(bins, total, _rounding_bound(self.level, shift, self.total))
 
 
@@ -124,7 +126,7 @@ def _float_weights(params: AffineParams, level: int, total: int) -> tuple[np.nda
     region = _region(params, level)
     if shift:
         region = region >> shift
-    return region.astype(np.float64), float(total >> shift), shift
+    return region.astype(numpy().float64), float(total >> shift), shift
 
 
 # Unit roundoff of double, and the error assumed for pocketfft's twiddles

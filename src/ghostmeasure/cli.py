@@ -157,8 +157,7 @@ def _cmd_density(args, out) -> int:
     grid = args.grid
     if grid < 2 or grid & (grid - 1):
         raise DomainError("--grid must be a power of two >= 2")
-    width = grid.bit_length() - 1
-    ests = (ghost.density(params, format(k, f"0{width}b"), args.depth) for k in range(grid))
+    ests = ghost._density_grid(params, grid.bit_length() - 1, args.depth)
     rows = [(k / grid, est.value, est.tail_bound) for k, est in enumerate(ests)]
     _emit(["x", "g", "tail_bound"], rows, args.format, out)
     return 0

@@ -41,7 +41,10 @@ when t lies in [0, 2^63), and the scalar _unit_phase for every other
 In these tables tail_bound covers only the truncation of the product, not
 rounding.  Direct tables (direct_table, and direct_fourier for one t) are
 the one lookup of mu_N^(t) in the comb's real FFT (approximant.Spectrum),
-and their tail_bound is that FFT's rounding bound.
+and their tail_bound is that FFT's rounding bound.  The tables are this
+module's only numpy code, reached through _util.numpy, so the closed forms
+(coeff_limit_2b, magnitude_sq_1b, the 2B and 2C identities) run without
+loading numpy.
 """
 
 from __future__ import annotations
@@ -49,15 +52,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
-import numpy as np
-
-from ._util import int_from_env
+from ._util import int_from_env, numpy
 from .approximant import Approximant
 from .errors import DomainError, ResourceCapError
 from .ghost import classify
 from .sequence import AffineParams, sigma_inf, sigma_norm
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MAX_WIENER_LEVEL = 14
 _ENV_MAX_WIENER = "GHOSTMEASURE_MAX_WIENER_LEVEL"
@@ -122,8 +126,8 @@ _LOW_BITS = (1 << 63) - 1
 _DEPTH_RANGE = "|t|/tol too large: the product depth leaves the double range"
 
 # e^{-2 pi i k/4}, k = 0..3: the quarter points that _unit_phase makes exact.
-_QUARTER_RE = np.array([1.0, 0.0, -1.0, 0.0])
-_QUARTER_IM = np.array([0.0, -1.0, 0.0, 1.0])
+_QUARTER_RE = (1.0, 0.0, -1.0, 0.0)
+_QUARTER_IM = (0.0, -1.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,6 +171,8 @@ def _phases(ts: np.ndarray, low: np.ndarray):
     ensures.  The other (t, n) pairs, n > 63 with t outside [0, 2^63) and
     every t at n > 1022, take _unit_phase.
     """
+    np = numpy()
+    quarter_re, quarter_im = np.array(_QUARTER_RE), np.array(_QUARTER_IM)
     other = None
 
     def phase(n: int, m: int):
@@ -183,8 +189,8 @@ def _phases(ts: np.ndarray, low: np.ndarray):
             s = min(n - 2, 63)
             hit = np.flatnonzero((r & ((1 << s) - 1)) == 0)
             k = r[hit] >> s
-        re[hit] = _QUARTER_RE[k]
-        im[hit] = _QUARTER_IM[k]
+        re[hit] = quarter_re[k]
+        im[hit] = quarter_im[k]
         if n > 63:
             if other is None:
                 # Positions of the t outside [0, 2^63), where low is not t
@@ -210,6 +216,7 @@ def _kernel(params: AffineParams, phase, depth: np.ndarray, k, norm: float):
     (f1 P_0 + sum_{n=1..k} 2^(n-1) (b0 + b1 e_n)/A^n P_n)/norm,
     summed in increasing n.
     """
+    np = numpy()
     kmax = 0 if k is None else int(k.max())
     try:
         a0, a1, a, b0, b1, f1 = map(float, (params.a0, params.a1, params.a,
@@ -249,6 +256,7 @@ def _product_depths(params: AffineParams, tabs: np.ndarray, v2: np.ndarray, tol:
 
     DomainError when D or the bound leaves the double range (D > ~1000).
     """
+    np = numpy()
     try:
         amax, a = float(max(params.a0, params.a1)), float(params.a)
     except OverflowError:
@@ -292,6 +300,7 @@ def coeff_table(params: AffineParams, ts: Iterable[int], tol: float = 1e-12,
     coeff_recursive for that t alone.  tail_bound covers the truncation of
     the infinite product only, not floating-point rounding.
     """
+    np = numpy()
     ts = list(ts)
     size = len(ts)
     if level is None and not tol > 0:
@@ -345,7 +354,7 @@ def coeff_table(params: AffineParams, ts: Iterable[int], tol: float = 1e-12,
 def _evaluate(params, tn, low, idx, depth, k, norm, re, im) -> None:
     """Run the kernel over the nonzero t (tn, at positions idx, with low and
     k aligned to idx) in depth-sorted blocks, writing re/im in place."""
-    order = np.argsort(-depth[idx], kind="stable")
+    order = numpy().argsort(-depth[idx], kind="stable")
     for lo in range(0, order.size, _BLOCK):
         blk = order[lo:lo + _BLOCK]
         pos = idx[blk]
@@ -360,6 +369,7 @@ def direct_table(comb: Approximant, ts: Iterable[int]) -> CoeffTable:
     conjugate of bin 2^N - r (the atoms are real), over the total.  r = 0 is
     exactly 1 with bound 0; every other tail_bound is the spectrum's rounding
     bound (approximant.Spectrum derives it)."""
+    np = numpy()
     spec, size = comb.spectrum, 1 << comb.level
     r = np.array([t % size for t in ts], dtype=np.int64)
     upper = r > size >> 1
@@ -492,6 +502,7 @@ def wiener_profile(params: AffineParams, levels: Iterable[int], tol: float = 1e-
     Homogeneous parameters reuse mu^(2t) = mu^(t) through the odd part of n;
     otherwise every coefficient is evaluated.
     """
+    np = numpy()
     levels = sorted(set(int(l) for l in levels))
     cap = max_wiener_level()
     if levels and levels[-1] > cap:

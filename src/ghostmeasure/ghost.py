@@ -24,7 +24,9 @@ Radon-Nikodym density in case 2B,
 
     g(x) = (f(1) + sum_j b_{x_j} A^-j) / (f(1) + b/(2A-2)),   A = A0 = A1,
 
-and drives the concentration diagnostics in case 2C.  In case 2D (say
+truncated after d digits by density at one x and by _density_grid on a
+whole dyadic grid from one shared-prefix fold (the same values point for
+point), and drives the concentration diagnostics in case 2C.  In case 2D (say
 A1 = 0, A = A0) the measure is purely atomic with weights
 
     mu({0})  = (f(1) + b0/(A-1)) / sigma_inf,
@@ -44,7 +46,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .approximant import DyadicInterval
 from .errors import DomainError
@@ -140,6 +142,13 @@ def interval_measure(params: AffineParams, interval: DyadicInterval) -> Fraction
     return Fraction((f_lead * (a - 2) + params.b) * q, (a - 2) * p * a**interval.depth)
 
 
+def _require_2b(params: AffineParams) -> None:
+    """Raise DomainError unless params are in case 2B, the only case with a density."""
+    cls = classify(params)
+    if cls.case != "2B":
+        raise DomainError(f"density requires case 2B (A0=A1>1, b!=0), got case {cls.case}")
+
+
 def density(params: AffineParams, bits, depth: Optional[int] = None) -> DensityEstimate:
     """Radon-Nikodym density in case 2B, truncated after `depth` digits.
 
@@ -149,12 +158,9 @@ def density(params: AffineParams, bits, depth: Optional[int] = None) -> DensityE
     denominator, reported in tail_bound.
 
     One integer fold, one Fraction per value: v = f(1) A^d + sum_j b_{x_j}
-    A^(d-j) by Horner's rule, so the truncation is v (2A-2) / (A^d (f(1)
-    (2A-2) + b)) and the tail bound 2 max(b0,b1) over the same denominator.
+    A^(d-j) by Horner's rule, then _density_estimates.
     """
-    cls = classify(params)
-    if cls.case != "2B":
-        raise DomainError(f"density requires case 2B (A0=A1>1, b!=0), got case {cls.case}")
+    _require_2b(params)
     xs = parse_bits(bits)
     d = len(xs) if depth is None else depth
     if d < 0:
@@ -165,10 +171,44 @@ def density(params: AffineParams, bits, depth: Optional[int] = None) -> DensityE
         v = a * v + (b1 if x else b0)
     for _ in range(d - len(xs)):
         v = a * v + b0
-    den = a**d * (params.f1 * (2 * a - 2) + params.b)
-    exact = Fraction(v * (2 * a - 2), den)
-    tail = Fraction(2 * max(b0, b1), den)
-    return DensityEstimate(float(exact), float(tail), exact)
+    return next(_density_estimates(params, [v], d))
+
+
+def _density_grid(params: AffineParams, width: int, depth: int) -> Iterator[DensityEstimate]:
+    """density(params, format(k, f"0{width}b"), depth) for k = 0..2^width-1 in
+    order, from one shared-prefix fold; each estimate is built when read.
+
+    The Horner folds of all 2^m prefixes of m = min(width, depth) digits come
+    level by level, P[2j+x] = A P[j] + b_x, so each is one step from its
+    parent.  For depth <= width every point reads its first `depth` digits
+    (2^(width-depth) points per prefix); otherwise the c = depth - width
+    trailing 0 digits extend each fold in closed form, P A^c + b0 (A^c -
+    1)/(A - 1).
+    """
+    _require_2b(params)
+    if depth < 0:
+        raise DomainError("depth must be >= 0")
+    a, b0, b1 = params.a0, params.b0, params.b1
+    folds = [params.f1]
+    for _ in range(min(width, depth)):
+        folds = [a * v + b for v in folds for b in (b0, b1)]
+    if depth <= width:
+        repeat = 1 << (width - depth)
+        return (est for est in _density_estimates(params, folds, depth) for _ in range(repeat))
+    ac = a**(depth - width)
+    zeros = b0 * (ac - 1) // (a - 1)
+    return _density_estimates(params, (v * ac + zeros for v in folds), depth)
+
+
+def _density_estimates(params: AffineParams, folds: Iterable[int], depth: int) -> Iterator[DensityEstimate]:
+    """The depth-d truncations v (2A-2) / (A^d (f(1) (2A-2) + b)) of the Horner
+    folds v, each with the one tail bound 2 max(b0,b1) over that denominator."""
+    a = params.a0
+    den = a**depth * (params.f1 * (2 * a - 2) + params.b)
+    tail = float(Fraction(2 * max(params.b0, params.b1), den))
+    for v in folds:
+        exact = Fraction(v * (2 * a - 2), den)
+        yield DensityEstimate(float(exact), tail, exact)
 
 
 def lambda_threshold(params: AffineParams) -> ConcentrationThreshold:

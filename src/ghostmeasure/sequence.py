@@ -27,7 +27,9 @@ f(1) + b/(A-2).
 
 All values are exact: big integers for f and Sigma, Fraction for sigma.
 Every whole region comes from one builder, _region: int64 while the values
-fit, Python integers otherwise.
+fit, Python integers otherwise.  It is the module's only numpy code, so
+numpy loads on the first region build (eval --region, a comb's atoms or
+its FFT), never for eval_f or the closed forms.
 """
 
 from __future__ import annotations
@@ -35,12 +37,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-import numpy as np
-
-from ._util import int_from_env
+from ._util import int_from_env, numpy
 from .errors import CatalogError, DomainError, ResourceCapError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MAX_LEVEL = 26
 _ENV_MAX_LEVEL = "GHOSTMEASURE_MAX_LEVEL"
@@ -131,6 +134,7 @@ def _region(params: AffineParams, level: int) -> np.ndarray:
     coefficients stay below 2^63 no int64 step overflows; otherwise the same
     loop runs over Python integers (dtype=object).
     """
+    np = numpy()
     amax, bmax = max(params.a0, params.a1), max(params.b0, params.b1)
     v, peak = params.f1, max(amax, bmax, params.f1)
     for _ in range(level):

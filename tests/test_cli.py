@@ -147,15 +147,64 @@ def test_fourier_modes_agree(capsys):
         assert 1e-15 < float(d[4]) < 1e-13
 
 
-def test_import_leaves_numpy_fft_unloaded():
-    # numpy loads numpy.fft on first use; only direct Fourier tables use it,
-    # so start-up of every other command does not pay for it.
+def run_fresh(code, *args):
+    """Run `python -c code *args` on this checkout's package; return its stdout."""
     src = str(Path(ghostmeasure.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, ghostmeasure.cli; print('numpy.fft' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False"]
+    return done.stdout
+
+
+def test_import_leaves_numpy_fft_unloaded():
+    # numpy, and with it numpy.fft, loads on first use (_util.numpy); start-up
+    # of a command that never computes with it does not pay for it.
+    code = "import sys, ghostmeasure.cli; print('numpy.fft' in sys.modules, 'numpy' in sys.modules)"
+    assert run_fresh(code).split() == ["False", "False"]
+
+
+# After `import ghostmeasure`, `import ghostmeasure.cli` and each argv in turn,
+# print whether numpy is loaded, with the argv's exit code.
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import ghostmeasure
+seen = ["numpy" in sys.modules]
+import ghostmeasure.cli
+seen.append("numpy" in sys.modules)
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = ghostmeasure.cli.main(argv)
+    seen.append([code, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+EXACT_ARGVS = [
+    ["eval", "--catalog", "gould_G", "--n", "7"],
+    ["classify", "--params", "3", "0", "0", "1", "1"],
+    ["cdf", "--catalog", "ruler_R", "--N", "10", "--grid", "64"],
+    ["interval", "--params", "2", "2", "0", "1", "1", "--bits", "01"],
+    ["interval", "--params", "2", "2", "0", "1", "1", "--bits", "01", "--N", "8"],
+    ["density", "--params", "2", "2", "0", "1", "1", "--bits", "0110"],
+    ["density", "--catalog", "cantor", "--grid", "64", "--depth", "20"],
+    ["points", "--params", "3", "0", "0", "1", "1", "--nmax", "6"],
+    ["jsr-table", "--sweep", "2"],
+]
+
+NUMPY_ARGVS = [
+    ["fourier", "--catalog", "gould_G", "--t", "1..8", "--mode", "limit"],
+    ["fourier", "--catalog", "gould_G", "--t", "1..8", "--mode", "recursive", "--N", "6"],
+    ["fourier", "--catalog", "gould_G", "--t", "1..8", "--mode", "direct", "--N", "6"],
+    ["wiener", "--params", "1", "2", "0", "0", "1", "--n-max", "4"],
+    ["eval", "--params", "2", "2", "0", "1", "1", "--region", "3"],
+]
+
+
+def test_numpy_loads_only_for_the_commands_that_compute_with_it():
+    seen = json.loads(run_fresh(NUMPY_PROBE, json.dumps(EXACT_ARGVS)))
+    assert seen == [False, False] + [[0, False]] * len(EXACT_ARGVS)
+    for argv in NUMPY_ARGVS:
+        assert json.loads(run_fresh(NUMPY_PROBE, json.dumps([argv]))) == [False, False, [0, True]], argv
 
 
 def test_threads_do_not_change_output(capsys):

@@ -1,7 +1,9 @@
-"""Import lint: every name a module imports is used in it.
+"""Import lints: every name a module imports is used in it, and numpy is
+imported only by _util.numpy, the accessor that loads it on first use.
 
-pyflakes would do this, but it is not a dependency, so the check is a small
-ast walk.  The package __init__ is exempt: its imports are re-exports.
+pyflakes would do the first, but it is not a dependency, so both checks are
+small ast walks.  The package __init__ is exempt from the first: its imports
+are re-exports.
 """
 
 import ast
@@ -40,3 +42,40 @@ def test_lint_finds_an_unused_import():
                          ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def numpy_imports(source: str) -> list[str]:
+    """Where source imports numpy outside `if TYPE_CHECKING:`: "module" for an
+    import that runs when the module loads, else the enclosing function's name."""
+    found = []
+
+    def visit(nodes, where):
+        for node in nodes:
+            modules = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                       else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(node.body, node.name)
+            elif isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+                visit(node.orelse, where)
+            elif any(m.split(".")[0] == "numpy" for m in modules):
+                found.append(where)
+            else:
+                visit(ast.iter_child_nodes(node), where)
+
+    visit(ast.parse(source).body, "module")
+    return found
+
+
+def test_lint_finds_a_numpy_import():
+    assert numpy_imports("import os\nimport numpy as np\n") == ["module"]
+    planted = "try:\n    from numpy.fft import rfft\nexcept ImportError:\n    rfft = None\n"
+    assert numpy_imports(planted) == ["module"]
+    assert numpy_imports("class C:\n    import numpy\n") == ["module"]
+    assert numpy_imports("def f():\n    import numpy.fft\n    return numpy\n") == ["f"]
+    typing_only = "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    import numpy as np\n"
+    assert numpy_imports(typing_only) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_numpy_is_imported_only_by_the_accessor(path):
+    assert numpy_imports(path.read_text()) == (["numpy"] if path.name == "_util.py" else [])

@@ -1,5 +1,6 @@
 """Property tests: independent evaluation paths agree, exact folds equal their
-term-by-term sums, the batched coefficient kernel equals the scalar complex
+term-by-term sums, the shared-prefix density grid equals its per-point
+folds, the batched coefficient kernel equals the scalar complex
 loops bit for bit, direct-mode coefficients lie within their rounding bound
 of summation oracles, the dyadic and 2D closed forms equal their Fraction
 chains, 2D atoms exhaust the mass, and the CLI exit-code contract holds.
@@ -48,6 +49,7 @@ from ghostmeasure import (
 )
 from ghostmeasure.cli import main
 from ghostmeasure.fourier import _BLOCK, TAU, _phases, _unit_phase, _v2
+from ghostmeasure.ghost import _density_grid
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 FUZZ = settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -132,6 +134,25 @@ def test_density_fold_matches_series(p, bits, depth):
     exact, tail = density_oracle(p, bits, depth)
     assert est.exact == exact
     assert (est.value, est.tail_bound) == (float(exact), float(tail))
+
+
+@st.composite
+def grid_and_depth(draw):
+    """(w, d) with w in 1..10 and d below, equal to or above w, up to 80."""
+    w = draw(st.integers(1, 10))
+    d = draw(st.one_of(st.integers(0, w - 1), st.just(w), st.integers(w + 1, 80)))
+    return w, d
+
+
+@PROPERTY
+@given(params_2b(), grid_and_depth())
+def test_density_grid_fold_matches_per_point_density(p, grid):
+    width, depth = grid
+    rows = list(_density_grid(p, width, depth))
+    assert len(rows) == 1 << width
+    for k, est in enumerate(rows):
+        one = density(p, format(k, f"0{width}b"), depth)
+        assert est == one, k
 
 
 @PROPERTY
