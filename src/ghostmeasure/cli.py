@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -40,16 +41,59 @@ def _fmt_ratio(x: float) -> str:
     return s if s else "0"
 
 
-def _emit(header: list[str], rows: list[tuple], fmt: str, out) -> None:
-    if fmt == "json":
-        records = [dict(zip(header, [float(v) if isinstance(v, Fraction) else v for v in row]))
-                   for row in rows]
-        out.write(json.dumps(records, indent=2))
-        out.write("\n")
+def _column(col, fmt: str) -> tuple[str, list | tuple]:
+    """The % conversion for one column and the values that fill it, chosen
+    from the column's value types once.
+
+    A column of one plain type goes into the template as it is: `%.17g`
+    prints a float as format(x, ".17g") does, `%r` a finite float as json
+    does (float.__repr__), and `%d` an int of any size.  Any other column
+    (Fraction, bool, numpy scalar, a non-finite float in JSON, mixed
+    types) is formatted value by value by the per-value rule, _fmt or
+    json.dumps.
+    """
+    kinds = set(map(type, col))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is int:
+        return "%d", col
+    if fmt == "csv":
+        if kind is float:
+            return "%.17g", col
+        if kind is str:
+            return "%s", col
+        return "%s", [_fmt(v) for v in col]
+    # A sum of floats is finite only if every term is.
+    if kind is float and math.isfinite(sum(col)):
+        return "%r", col
+    if kind is str:
+        return "%s", list(map(json.encoder.encode_basestring_ascii, col))
+    return "%s", [json.dumps(float(v) if isinstance(v, Fraction) else v) for v in col]
+
+
+def _emit(header: list[str], cols, fmt: str, out) -> None:
+    """Write a table, given as one column of equal length per header key, as
+    CSV or JSON; no columns at all (zip(*rows) of no rows) is an empty table.
+
+    Every row is one % template (see _column).  CSV is the header line and
+    one line per row, each value as _fmt gives it; JSON is byte for byte
+    json.dumps(records, indent=2) plus a newline, with a Fraction as its
+    float.
+    """
+    convs, cols = zip(*(_column(col, fmt) for col in cols or [()] * len(header)))
+    rows = zip(*cols)
+    if fmt == "csv":
+        out.write(",".join(header) + "\n")
+        out.writelines(map((",".join(convs) + "\n").__mod__, rows))
         return
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(_fmt(v) for v in row) + "\n")
+    keys = [json.encoder.encode_basestring_ascii(k).replace("%", "%%") for k in header]
+    record = "  {\n" + ",\n".join(f"    {k}: {c}" for k, c in zip(keys, convs)) + "\n  }"
+    first = next(rows, None)
+    if first is None:
+        out.write("[]\n")
+        return
+    out.write("[\n" + record % first)
+    out.writelines(map((",\n" + record).__mod__, rows))
+    out.write("\n]\n")
 
 
 def _add_params_opts(p: argparse.ArgumentParser) -> None:
@@ -118,7 +162,7 @@ def _cmd_cdf(args, out) -> int:
     params = _resolve_params(args)
     comb = approximant.build_comb(params, args.N)
     rows = approximant.cdf_series(comb, args.grid)
-    _emit(["x", "F"], [(float(x), float(f)) for x, f in rows], args.format, out)
+    _emit(["x", "F"], [[float(x) for x, _ in rows], [float(f) for _, f in rows]], args.format, out)
     return 0
 
 
@@ -131,8 +175,8 @@ def _cmd_fourier(args, out) -> int:
         tab = fourier.direct_table(approximant.build_comb(params, args.N), ts)
     else:
         tab = fourier.coeff_table(params, ts, args.tol, args.N if args.mode == "recursive" else None)
-    rows = list(zip(ts, tab.re.tolist(), tab.im.tolist(), tab.abs.tolist(), tab.tail_bound.tolist()))
-    _emit(["t", "re", "im", "abs", "tail_bound"], rows, args.format, out)
+    cols = [ts, tab.re.tolist(), tab.im.tolist(), tab.abs.tolist(), tab.tail_bound.tolist()]
+    _emit(["t", "re", "im", "abs", "tail_bound"], cols, args.format, out)
     return 0
 
 
@@ -142,7 +186,7 @@ def _cmd_wiener(args, out) -> int:
         raise DomainError("--n-max must be >= --n-min")
     levels = list(range(args.n_min, args.n_max + 1))
     prof = fourier.wiener_profile(params, levels, args.tol)
-    _emit(["N", "W"], [(l, prof[l]) for l in levels], args.format, out)
+    _emit(["N", "W"], [levels, [prof[l] for l in levels]], args.format, out)
     return 0
 
 
@@ -151,15 +195,17 @@ def _cmd_density(args, out) -> int:
     if args.bits is not None:
         est = ghost.density(params, args.bits, args.depth)
         iv = approximant.DyadicInterval.from_bits(args.bits)
-        _emit(["x", "g", "tail_bound"], [(float(iv.left), est.value, est.tail_bound)],
+        _emit(["x", "g", "tail_bound"], [[float(iv.left)], [est.value], [est.tail_bound]],
               args.format, out)
         return 0
     grid = args.grid
     if grid < 2 or grid & (grid - 1):
         raise DomainError("--grid must be a power of two >= 2")
-    ests = ghost._density_grid(params, grid.bit_length() - 1, args.depth)
-    rows = [(k / grid, est.value, est.tail_bound) for k, est in enumerate(ests)]
-    _emit(["x", "g", "tail_bound"], rows, args.format, out)
+    g, tail = [], []
+    for est in ghost._density_grid(params, grid.bit_length() - 1, args.depth):
+        g.append(est.value)
+        tail.append(est.tail_bound)
+    _emit(["x", "g", "tail_bound"], [[k / grid for k in range(grid)], g, tail], args.format, out)
     return 0
 
 
@@ -187,7 +233,8 @@ def _cmd_points(args, out) -> int:
         each = ghost.point_mass(params, "0" * (n - 1) + "1" if n else "")
         cumulative += count * each
         rows.append((n, count, each, count * each, cumulative))
-    _emit(["n", "count", "mass_each", "mass_level", "cumulative"], rows, args.format, out)
+    _emit(["n", "count", "mass_each", "mass_level", "cumulative"], list(zip(*rows)),
+          args.format, out)
     return 0
 
 
@@ -207,7 +254,7 @@ def _cmd_jsr_table(args, out) -> int:
                     rows.append((a0, a1, b0, b1, cls.case, cls.describe(),
                                  diag.rho, diag.rho_star, diag.log_ratio))
     _emit(["a0", "a1", "b0", "b1", "case", "kind", "rho", "rho_star", "log_ratio"],
-          rows, args.format, out)
+          list(zip(*rows)), args.format, out)
     return 0
 
 

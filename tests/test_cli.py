@@ -256,15 +256,6 @@ def test_indicator_sum_beyond_double_range_exit_code(capsys):
         assert code == 2 and out == "" and "leaves the double range" in err, argv
 
 
-def test_fourier_json_format(capsys):
-    code, out, _ = run_cli(capsys, "fourier", "--catalog", "identity", "--t", "1,2",
-                           "--mode", "limit", "--format", "json")
-    assert code == 0
-    records = json.loads(out)
-    assert [r["t"] for r in records] == [1, 2]
-    assert abs(records[0]["im"] - 1 / (3 * math.pi)) < 1e-9
-
-
 def test_wiener_table(capsys):
     code, out, _ = run_cli(capsys, "wiener", "--params", "2", "2", "0", "0", "1",
                            "--n-min", "1", "--n-max", "6")
@@ -355,6 +346,41 @@ def test_jsr_table_pattern(capsys):
 # ----------------------------------------------------------------------
 # output files, byte-stable round trips, io errors
 # ----------------------------------------------------------------------
+
+# Every table command; between them they print ints past 2^63 (fourier's t),
+# Fractions (points), strings (jsr-table) and floats of every mode.
+TABLE_ARGVS = [
+    ["fourier", "--catalog", "identity", f"--t=-3,0,1,2,{2**63 - 1},{2**100}", "--mode", "limit"],
+    ["fourier", "--params", "1", "2", "0", "1", "1", "--t=-4..40", "--mode", "recursive", "--N", "12"],
+    ["fourier", "--params", "1", "2", "0", "1", "1", "--t=-4..40", "--mode", "direct", "--N", "9"],
+    ["wiener", "--catalog", "gould_G", "--n-max", "8"],
+    ["cdf", "--catalog", "ruler_R", "--N", "10", "--grid", "33"],
+    ["density", "--catalog", "cantor", "--grid", "64", "--depth", "20"],
+    ["points", "--params", "3", "0", "0", "1", "1", "--nmax", "12"],
+    ["jsr-table", "--sweep", "2"],
+]
+
+
+def test_csv_and_json_agree(capsys):
+    # Both formats hold the same table: the JSON keys are the CSV header,
+    # one record per row, ints and strings equal and floats equal bit for
+    # bit, since %.17g and repr both round-trip a double.
+    for argv in TABLE_ARGVS:
+        code, csv_text, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        code, json_text, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0, argv
+        header, rows = parse_csv(csv_text)
+        records = json.loads(json_text)
+        assert len(records) == len(rows) > 0, argv
+        for row, record in zip(rows, records):
+            assert list(record) == header, argv
+            for field, value in zip(row, record.values()):
+                if isinstance(value, float):
+                    assert float(field).hex() == value.hex(), (argv, field, value)
+                else:
+                    assert type(value) in (int, str) and field == str(value), (argv, field, value)
+
 
 def test_csv_round_trip_bytes(tmp_path, capsys):
     out_path = tmp_path / "cdf.csv"

@@ -3,7 +3,8 @@ term-by-term sums, the shared-prefix density grid equals its per-point
 folds, the batched coefficient kernel equals the scalar complex
 loops bit for bit, direct-mode coefficients lie within their rounding bound
 of summation oracles, the dyadic and 2D closed forms equal their Fraction
-chains, 2D atoms exhaust the mass, and the CLI exit-code contract holds.
+chains, 2D atoms exhaust the mass, the CLI exit-code contract holds, and
+the row-template table writer prints the bytes of the per-value writer.
 
 Hypothesis runs derandomized with small bounded strategies, so every run
 draws the same examples and the suite's time barely moves.
@@ -11,8 +12,10 @@ draws the same examples and the suite's time barely moves.
 
 import contextlib
 import io
+import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -47,7 +50,7 @@ from ghostmeasure import (
     sigma_norm,
     wiener_profile,
 )
-from ghostmeasure.cli import main
+from ghostmeasure.cli import _emit, _fmt, main
 from ghostmeasure.fourier import _BLOCK, TAU, _phases, _unit_phase, _v2
 from ghostmeasure.ghost import _density_grid
 
@@ -416,6 +419,64 @@ def _exit_code(argv_: list[str]) -> int:
           "--t", str(2**400)])
 def test_cli_exit_codes(argv_):
     assert _exit_code(argv_) in (0, 2, 3, 4), argv_
+
+
+# ----------------------------------------------------------------------
+# Table writer against the per-value writer it replaced
+# ----------------------------------------------------------------------
+
+def emit_oracle(header: list[str], rows: list[tuple], fmt: str) -> str:
+    """The table as the per-value writer printed it: json.dumps of the
+    records (a Fraction as its float), or each value through _fmt."""
+    if fmt == "json":
+        records = [dict(zip(header, [float(v) if isinstance(v, Fraction) else v for v in row]))
+                   for row in rows]
+        return json.dumps(records, indent=2) + "\n"
+    return ",".join(header) + "\n" + "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+
+
+EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.0**-1070,
+                               2.2250738585072014e-308, 2.0**53 + 2, 2.0**53 - 1,
+                               float(2**53 + 1), sys.float_info.max, -sys.float_info.max, 0.1])
+CELL_FLOATS = st.one_of(EDGE_FLOATS, st.floats())
+CELL_INTS = st.one_of(st.integers(), st.sampled_from([2**53 + 1, 2**63 - 1, 2**63, -(2**63) - 1,
+                                                     2**100, -(2**100)]))
+CELL_FRACTIONS = st.one_of(st.fractions(-(10**6), 10**6),
+                           st.sampled_from([Fraction(1, 3), Fraction(2**1000, 3), Fraction(-1, 3**400)]))
+CELL_NUMPY = st.one_of(EDGE_FLOATS, st.floats()).map(np.float64)
+CELL_STRINGS = st.one_of(st.text(max_size=6),
+                         st.sampled_from(['"', "\\", 'a"b\\c', "\u00e9", "\u2028", "\U0001f600",
+                                          "%", "%s", "%(x)d", ",", "\n", "\x00"]))
+CELLS = [CELL_FLOATS, CELL_INTS, st.booleans(), CELL_FRACTIONS, CELL_NUMPY, CELL_STRINGS]
+
+
+@st.composite
+def tables(draw) -> tuple[list[str], list[list]]:
+    """A header of 1-4 distinct keys and as many columns of 0-6 values, each
+    column of one kind of cell or a mix of all kinds."""
+    header = draw(st.lists(st.one_of(CELL_STRINGS, st.sampled_from(["t", "re", "a%b", 'k"'])),
+                           min_size=1, max_size=4, unique=True))
+    n = draw(st.sampled_from([0, 1, 2, 6]))
+    cols = []
+    for _ in header:
+        cell = draw(st.sampled_from([*CELLS, st.one_of(*CELLS)]))
+        cols.append(draw(st.lists(cell, min_size=n, max_size=n)))
+    return header, cols
+
+
+@PROPERTY
+@given(tables())
+@example((["t", "re"], [[-(2**100), 2**63 - 1], [math.nan, -0.0]]))
+@example((["x"], [[True, False]]))
+@example((["x", "y"], [[], []]))
+@example((["x", "y"], []))  # zip(*rows) of no rows
+def test_emit_matches_per_value_writer(table):
+    header, cols = table
+    rows = list(zip(*cols))
+    for fmt in ("csv", "json"):
+        out = io.StringIO()
+        _emit(header, cols, fmt, out)
+        assert out.getvalue() == emit_oracle(header, rows, fmt), fmt
 
 
 # ----------------------------------------------------------------------
