@@ -12,9 +12,12 @@ integers, interval masses and distribution values are Fractions.
 Interval masses and distribution values never materialise the 2^N atoms.
 The atoms below a dyadic prefix form a block whose sum has a closed form
 in the value of f at the prefix (sequence._block_sum), so a dyadic mass
-is one block sum and F_N at an atom is at most N of them, one per 1-digit
-of the atom's index.  The exact atoms (Approximant.weights) are built only
-when read, by tests that use them as the brute-force oracle.
+is one block sum.  F_N at an atom is one descent of the N digits of the
+atom's index with a block sum at every 1-digit; a grid of values is one
+sweep (_masses_through) in which each index resumes the descent of the one
+before at the highest digit where the two differ.  The exact atoms
+(Approximant.weights) are built only when read, by tests that use them as
+the brute-force oracle.
 Approximant.spectrum is one real FFT of the atoms as doubles, read off the
 one region builder (sequence._region, int64 when the values fit, else
 Python integers), with the a-priori rounding bound derived in Spectrum;
@@ -218,23 +221,44 @@ def build_comb(params: AffineParams, level: int) -> Approximant:
 # Distribution function and interval masses
 # ----------------------------------------------------------------------
 
-def _mass_through(comb: Approximant, idx: int) -> int:
-    """weights[0] + ... + weights[idx], from N block sums instead of idx+1 atoms.
+def _masses_through(comb: Approximant, idxs) -> list[int]:
+    """[weights[0] + ... + weights[i] for i in idxs], from one shared descent.
 
-    Descends the N digits of idx from the top; at every 1-digit the whole
-    block under the left sibling lies below idx.  The last value reached is
-    the atom at idx itself.
+    Each mass descends the N digits of its index from the top: at every
+    1-digit the block under the left sibling lies below the index, and the
+    last value reached is the atom at the index itself.  The state before
+    every digit is kept, so each index resumes the descent of the one before
+    at the highest digit where the two differ (any order is correct; sorted
+    G indices cost about N - log2 G + 1 steps each, a repeat nothing).
+
+    The block under the left child of a node where f = v, c digits deep,
+    sums to _block_sum(p, a0 v + b0, c), affine in v: alpha_c v + beta_c,
+    read off _block_sum at v = 0 and v = 1 once per sweep.
     """
     p = comb.params
-    v, acc = p.f1, 0
-    for d in range(comb.level - 1, -1, -1):
-        left = p.a0 * v + p.b0
-        if (idx >> d) & 1:
-            acc += _block_sum(p, left, d)
-            v = p.a1 * v + p.b1
-        else:
-            v = left
-    return acc + v
+    a0, b0, a1, b1 = p.a0, p.b0, p.a1, p.b1
+    beta = [_block_sum(p, b0, c) for c in range(comb.level)]
+    alpha = [_block_sum(p, a0 + b0, c) - b for c, b in enumerate(beta)]
+    # (v, acc) before digit d of the previous index, for every d.
+    vs, accs = [0] * comb.level, [0] * comb.level
+    v, acc, top = p.f1, 0, comb.level - 1
+    out: list[int] = []
+    prev = mass = None
+    for idx in idxs:
+        if idx != prev:
+            if prev is not None:
+                top = (prev ^ idx).bit_length() - 1
+                v, acc = vs[top], accs[top]
+            for d in range(top, -1, -1):
+                vs[d], accs[d] = v, acc
+                if idx >> d & 1:
+                    acc += alpha[d] * v + beta[d]
+                    v = a1 * v + b1
+                else:
+                    v = a0 * v + b0
+            mass, prev = acc + v, idx
+        out.append(mass)
+    return out
 
 
 def cdf(comb: Approximant, x: Union[float, Fraction, int]) -> Fraction:
@@ -244,19 +268,21 @@ def cdf(comb: Approximant, x: Union[float, Fraction, int]) -> Fraction:
         raise DomainError(f"cdf argument must lie in [0, 1], got {x!r}")
     size = 1 << comb.level
     idx = min(int(xf * size), size - 1)
-    return Fraction(_mass_through(comb, idx), comb.total)
+    return Fraction(_masses_through(comb, [idx])[0], comb.total)
+
+
+def _grid_masses(comb: Approximant, grid_size: int) -> list[int]:
+    """The numerators of F_N(k/(grid_size-1)), k = 0..grid_size-1, over comb.total."""
+    if grid_size < 2:
+        raise DomainError("grid_size must be >= 2")
+    size, last = 1 << comb.level, grid_size - 1
+    return _masses_through(comb, [min(k * size // last, size - 1) for k in range(grid_size)])
 
 
 def cdf_series(comb: Approximant, grid_size: int) -> list[tuple[Fraction, Fraction]]:
     """grid_size equally spaced samples (x, F_N(x)), x = k/(grid_size-1)."""
-    if grid_size < 2:
-        raise DomainError("grid_size must be >= 2")
-    size = 1 << comb.level
-    out = []
-    for k in range(grid_size):
-        idx = min(k * size // (grid_size - 1), size - 1)
-        out.append((Fraction(k, grid_size - 1), Fraction(_mass_through(comb, idx), comb.total)))
-    return out
+    masses = _grid_masses(comb, grid_size)
+    return [(Fraction(k, grid_size - 1), Fraction(m, comb.total)) for k, m in enumerate(masses)]
 
 
 def interval_mass(comb: Approximant, interval: DyadicInterval) -> Fraction:

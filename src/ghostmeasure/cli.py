@@ -161,8 +161,11 @@ def _cmd_classify(args, out) -> int:
 def _cmd_cdf(args, out) -> int:
     params = _resolve_params(args)
     comb = approximant.build_comb(params, args.N)
-    rows = approximant.cdf_series(comb, args.grid)
-    _emit(["x", "F"], [[float(x) for x, _ in rows], [float(f) for _, f in rows]], args.format, out)
+    masses = approximant._grid_masses(comb, args.grid)
+    # int / int is correctly rounded, as float(Fraction) is: the same doubles.
+    last, total = args.grid - 1, comb.total
+    _emit(["x", "F"], [[k / last for k in range(args.grid)], [m / total for m in masses]],
+          args.format, out)
     return 0
 
 
@@ -295,7 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fourier", help="coefficients: limit, recursion, or comb sum")
     _add_params_opts(p)
-    p.add_argument("--t", required=True, help="e.g. 5 or 1..64 or -4,-2,7")
+    p.add_argument("--t", required=True,
+                   help="e.g. 5 or 1..64 or --t=-4,-2,7 (a value that starts with '-' "
+                        "needs the = form)")
     p.add_argument("--mode", choices=("limit", "recursive", "direct"), default="limit")
     p.add_argument("--N", type=int, help="level for recursive/direct modes")
     p.add_argument("--tol", type=float, default=1e-12)

@@ -24,7 +24,9 @@ from ghostmeasure import (
     eval_region,
     interval_mass,
 )
+from ghostmeasure import approximant
 from ghostmeasure.approximant import _float_weights
+from ghostmeasure.cli import main
 from ghostmeasure.sequence import _region
 
 CATALOG_NAMES = [
@@ -371,7 +373,7 @@ def test_closed_forms_match_materialised_comb():
                     assert interval_mass(comb, e) == Fraction(sum(w[lo:hi]), total)
 
 
-def test_comb_functionals_do_not_materialise_atoms(monkeypatch):
+def test_comb_functionals_do_not_materialise_atoms(monkeypatch, capsys):
     monkeypatch.setenv("GHOSTMEASURE_MAX_LEVEL", "26")
     comb = build_comb(catalog_lookup("identity").params, 26)
     tracemalloc.start()
@@ -388,3 +390,21 @@ def test_comb_functionals_do_not_materialise_atoms(monkeypatch):
     assert masses[3] == Fraction((1 << 27) - 1, comb.total)
     with pytest.raises(ResourceCapError):
         build_comb(catalog_lookup("identity").params, 27)
+    # The CLI table too: same cap, same bound, no atoms on the comb it builds.
+    combs = []
+
+    def recording_build_comb(*args):
+        combs.append(build_comb(*args))
+        return combs[-1]
+
+    monkeypatch.setattr(approximant, "build_comb", recording_build_comb)
+    tracemalloc.start()
+    try:
+        code = main(["cdf", "--catalog", "identity", "--N", "26", "--grid", "1024"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0 and len(combs) == 1 and "weights" not in vars(combs[0])
+    assert peak < 4 << 20
+    assert out.startswith("x,F\n0,") and out.endswith("\n1,1\n") and out.count("\n") == 1025

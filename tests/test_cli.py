@@ -1,5 +1,7 @@
 """Command-line surface: outputs, formats, exit codes, round-trips."""
 
+import argparse
+import io
 import json
 import math
 import os
@@ -10,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import ghostmeasure
-from ghostmeasure import AffineParams, eval_f
-from ghostmeasure.cli import build_parser, main
+from ghostmeasure import AffineParams, build_comb, cdf_series, eval_f
+from ghostmeasure.cli import _emit, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -112,6 +114,35 @@ def test_cdf_level_zero_constant(capsys):
     assert [float(f) for _, f in rows] == [1.0, 1.0]
 
 
+# (source, params, level, grid): A = 0, 1, 2 and above, totals near 2^64 and
+# past the double range (2^1052 at the last); grids below, at and past 2^N + 1.
+CDF_CASES = [
+    (["--catalog", "identity"], AffineParams(2, 2, 0, 1, 1), 12, 1025),
+    (["--params", "1", "2", "0", "1", "1"], AffineParams(1, 2, 0, 1, 1), 9, 1023),
+    (["--params", "6", "9", "1", "2", "1"], AffineParams(6, 9, 1, 2, 1), 16, 4096),
+    (["--params", "3", "0", "0", "1", "1"], AffineParams(3, 0, 0, 1, 1), 3, 7),
+    (["--params", "0", "0", "1", "1", "1"], AffineParams(0, 0, 1, 1, 1), 5, 3),
+    (["--params", "1", "0", "0", "1", "1"], AffineParams(1, 0, 0, 1, 1), 0, 2),
+    (["--params", str(2**80), str(2**80 - 1), "0", "1", "1"],
+     AffineParams(2**80, 2**80 - 1, 0, 1, 1), 11, 2053),
+    (["--params", str(2**80), str(2**80 - 1), "0", "1", "1"],
+     AffineParams(2**80, 2**80 - 1, 0, 1, 1), 13, 1025),
+]
+
+
+def test_cdf_prints_the_floats_of_cdf_series(capsys):
+    # The table divides the integer masses itself; int / int and
+    # float(Fraction) are both correctly rounded, so it prints the bytes of
+    # cdf_series' Fractions, each through float().
+    for source, params, level, grid in CDF_CASES:
+        rows = cdf_series(build_comb(params, level), grid)
+        for fmt in ("csv", "json"):
+            want = io.StringIO()
+            _emit(["x", "F"], [[float(x) for x, _ in rows], [float(f) for _, f in rows]], fmt, want)
+            got = run_cli(capsys, "cdf", *source, "--N", str(level), "--grid", str(grid), "--format", fmt)
+            assert got == (0, want.getvalue(), ""), (source, level, grid, fmt)
+
+
 def test_cdf_resource_cap_exit_code(capsys):
     code, _, err = run_cli(capsys, "cdf", "--params", "2", "2", "0", "1", "1",
                            "--N", "30", "--grid", "4")
@@ -130,6 +161,18 @@ def test_fourier_limit_scaling_column(capsys):
     by_t = {int(r[0]): complex(float(r[1]), float(r[2])) for r in rows}
     for t in range(1, 33):
         assert abs(by_t[t] - by_t[2 * t]) <= 1e-10
+
+
+def test_fourier_t_help_example_runs(capsys):
+    # A --t value that starts with '-' reads as an option unless joined by '='.
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    t_help = next(a.help for a in sub.choices["fourier"]._actions if "--t" in a.option_strings)
+    assert "--t=-4,-2,7" in t_help
+    code, out, _ = run_cli(capsys, "fourier", "--catalog", "gould_G", "--t=-4,-2,7")
+    assert code == 0 and [r[0] for r in parse_csv(out)[1]] == ["-4", "-2", "7"]
+    with pytest.raises(SystemExit) as exc:
+        main(["fourier", "--catalog", "gould_G", "--t", "-4,-2,7"])
+    assert exc.value.code == 2 and "expected one argument" in capsys.readouterr().err
 
 
 def test_fourier_modes_agree(capsys):

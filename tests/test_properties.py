@@ -1,6 +1,7 @@
 """Property tests: independent evaluation paths agree, exact folds equal their
 term-by-term sums, the shared-prefix density grid equals its per-point
-folds, the batched coefficient kernel equals the scalar complex
+folds, the shared cdf descent equals prefix sums of the atoms, the
+batched coefficient kernel equals the scalar complex
 loops bit for bit, direct-mode coefficients lie within their rounding bound
 of summation oracles, the dyadic and 2D closed forms equal their Fraction
 chains, 2D atoms exhaust the mass, the CLI exit-code contract holds, and
@@ -12,6 +13,7 @@ draws the same examples and the suite's time barely moves.
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import random
@@ -20,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ghostmeasure import (
     AffineParams,
@@ -50,9 +52,11 @@ from ghostmeasure import (
     sigma_norm,
     wiener_profile,
 )
+from ghostmeasure.approximant import _masses_through
 from ghostmeasure.cli import _emit, _fmt, main
 from ghostmeasure.fourier import _BLOCK, TAU, _phases, _unit_phase, _v2
 from ghostmeasure.ghost import _density_grid
+from ghostmeasure.sequence import _block_sum
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 FUZZ = settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -156,6 +160,52 @@ def test_density_grid_fold_matches_per_point_density(p, grid):
     for k, est in enumerate(rows):
         one = density(p, format(k, f"0{width}b"), depth)
         assert est == one, k
+
+
+def mass_through_oracle(comb, idx: int) -> int:
+    """weights[0] + ... + weights[idx] by its own N-digit descent: one block
+    sum under the left sibling of every 1-digit, then the atom at idx."""
+    p = comb.params
+    v, acc = p.f1, 0
+    for d in range(comb.level - 1, -1, -1):
+        left = p.a0 * v + p.b0
+        if (idx >> d) & 1:
+            acc += _block_sum(p, left, d)
+            v = p.a1 * v + p.b1
+        else:
+            v = left
+    return acc + v
+
+
+@st.composite
+def comb_indices(draw):
+    """(params, level, idxs): A = 0, 1, 2 and above, levels 0..10; the indices
+    of a grid (up to 2^N + 9 points, so repeats, ending at the clamp to
+    2^N - 1) or a list drawn with repeats, sorted or not."""
+    p = draw(st.one_of(affine_params(), st.just(AffineParams(2**80, 2**80 - 1, 0, 1, 1))))
+    level = draw(st.integers(0, 10))
+    size = 1 << level
+    if draw(st.booleans()):
+        grid = draw(st.integers(2, size + 10))
+        return p, level, [min(k * size // (grid - 1), size - 1) for k in range(grid)]
+    idxs = draw(st.lists(st.integers(0, size - 1), max_size=40))
+    return p, level, sorted(idxs) if draw(st.booleans()) else idxs
+
+
+@PROPERTY
+@given(comb_indices())
+@example((AffineParams(2**80, 2**80 - 1, 0, 1, 1), 10, [min(k * 1024 // 1029, 1023) for k in range(1030)]))
+@example((AffineParams(0, 0, 1, 1, 1), 0, [0, 0, 0]))
+@example((AffineParams(1, 0, 0, 1, 1), 3, [0, 3, 3, 4, 7, 7]))
+@example((AffineParams(6, 9, 1, 2, 1), 4, [9, 3, 15, 0, 9, 8]))
+def test_shared_descent_matches_prefix_sums(case):
+    p, level, idxs = case
+    assume(big_sigma(p, level) > 0)  # no comb has total 0
+    comb = build_comb(p, level)
+    prefix = list(itertools.accumulate(comb.weights))
+    got = _masses_through(comb, idxs)
+    assert got == [prefix[i] for i in idxs]
+    assert got == [mass_through_oracle(comb, i) for i in idxs]
 
 
 @PROPERTY
