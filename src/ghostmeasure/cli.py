@@ -204,11 +204,12 @@ def _cmd_density(args, out) -> int:
     grid = args.grid
     if grid < 2 or grid & (grid - 1):
         raise DomainError("--grid must be a power of two >= 2")
-    g, tail = [], []
-    for est in ghost._density_grid(params, grid.bit_length() - 1, args.depth):
-        g.append(est.value)
-        tail.append(est.tail_bound)
-    _emit(["x", "g", "tail_bound"], [[k / grid for k in range(grid)], g, tail], args.format, out)
+    nums, den, tail = ghost._density_grid(params, grid.bit_length() - 1, args.depth)
+    # int / int is correctly rounded, as float(Fraction) is: the same doubles.
+    # g first, so the folds are freed before the x column is built.
+    g = [v / den for v in nums]
+    _emit(["x", "g", "tail_bound"], [[k / grid for k in range(grid)], g, [tail / den] * grid],
+          args.format, out)
     return 0
 
 
@@ -229,13 +230,8 @@ def _cmd_points(args, out) -> int:
     params = _resolve_params(args)
     if args.nmax < 0:
         raise DomainError("--nmax must be >= 0")
-    rows = []
-    cumulative = Fraction(0)
-    for n in range(args.nmax + 1):
-        count = 1 if n == 0 else 1 << (n - 1)
-        each = ghost.point_mass(params, "0" * (n - 1) + "1" if n else "")
-        cumulative += count * each
-        rows.append((n, count, each, count * each, cumulative))
+    rows = [(n, count, each / den, count * each / den, cumulative / den)
+            for n, (count, each, cumulative, den) in enumerate(ghost._levels_2d(params, args.nmax))]
     _emit(["n", "count", "mass_each", "mass_level", "cumulative"], list(zip(*rows)),
           args.format, out)
     return 0

@@ -33,11 +33,18 @@ A1 = 0, A = A0) the measure is purely atomic with weights
     mu({x})  = (b1 + b0/(A-1)) / (A^n * sigma_inf),
 
 where n is the position of the last 1 in x's terminating binary expansion;
-the weights depend on n only (_atoms_2d).  The mirrored orientation A0 = 0
-follows by swapping the branch roles and reflecting atom locations x -> 1-x
-(mod 1), which maps terminating expansions to terminating expansions of the
-same last-one position; the mirrored weights are validated against combs in
-the test suite.
+the weights depend on n only (_atoms_2d), so one per-level fold over n
+(_levels_2d) gives every level's weight, mass and running total.  The
+mirrored orientation A0 = 0 follows by swapping the branch roles and
+reflecting atom locations x -> 1-x (mod 1), which maps terminating
+expansions to terminating expansions of the same last-one position; the
+mirrored weights are validated against combs in the test suite.
+
+Every closed form above is an integer fold over the digits or levels.
+Exact answers are Fractions of it; float answers (ratio_sequence, and the
+CLI's density grid and points tables) are one int/int division of its
+numerator and denominator, correctly rounded as float(Fraction) is, with
+no Fraction built.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .approximant import DyadicInterval
 from .errors import DomainError
@@ -94,21 +101,31 @@ class DensityEstimate:
     exact: Fraction  # the depth-d truncation as an exact rational
 
 
+_1A = LebesgueClass(MeasureKind.LEBESGUE, "1A")
+_1B = LebesgueClass(MeasureKind.SINGULAR_CONTINUOUS, "1B")
+_1C = LebesgueClass(MeasureKind.PURE_POINT, "1C", "delta-at-0")
+_2A = LebesgueClass(MeasureKind.LEBESGUE, "2A")
+_2B = LebesgueClass(MeasureKind.ABSOLUTELY_CONTINUOUS, "2B")
+_2C = LebesgueClass(MeasureKind.SINGULAR_CONTINUOUS, "2C")
+_2D = LebesgueClass(MeasureKind.PURE_POINT, "2D", "dyadic-rationals")
+
+
 def classify(params: AffineParams) -> LebesgueClass:
-    """Case label and Lebesgue type of the limit measure (total on valid params)."""
+    """Case label and Lebesgue type of the limit measure (total on valid params);
+    one of the seven constants above, shared by every call."""
     if params.homogeneous:
         if params.a0 == params.a1:
-            return LebesgueClass(MeasureKind.LEBESGUE, "1A")
+            return _1A
         if params.a0 > 0 and params.a1 > 0:
-            return LebesgueClass(MeasureKind.SINGULAR_CONTINUOUS, "1B")
-        return LebesgueClass(MeasureKind.PURE_POINT, "1C", "delta-at-0")
+            return _1B
+        return _1C
     if params.a <= 2:
-        return LebesgueClass(MeasureKind.LEBESGUE, "2A")
+        return _2A
     if params.a0 == params.a1:
-        return LebesgueClass(MeasureKind.ABSOLUTELY_CONTINUOUS, "2B")
+        return _2B
     if params.a0 > 0 and params.a1 > 0:
-        return LebesgueClass(MeasureKind.SINGULAR_CONTINUOUS, "2C")
-    return LebesgueClass(MeasureKind.PURE_POINT, "2D", "dyadic-rationals")
+        return _2C
+    return _2D
 
 
 def _dyadic_sigma(params: AffineParams, what: str) -> Optional[tuple[int, int]]:
@@ -157,8 +174,9 @@ def density(params: AffineParams, bits, depth: Optional[int] = None) -> DensityE
     of the series is bounded by max(b0,b1) / ((A-1) A^d) over the same
     denominator, reported in tail_bound.
 
-    One integer fold, one Fraction per value: v = f(1) A^d + sum_j b_{x_j}
-    A^(d-j) by Horner's rule, then _density_estimates.
+    One integer fold, v = f(1) A^d + sum_j b_{x_j} A^(d-j) by Horner's rule,
+    over the denominator of _density_terms; the exact value is its
+    Fraction, the float value and tail bound one int/int division each.
     """
     _require_2b(params)
     xs = parse_bits(bits)
@@ -171,12 +189,15 @@ def density(params: AffineParams, bits, depth: Optional[int] = None) -> DensityE
         v = a * v + (b1 if x else b0)
     for _ in range(d - len(xs)):
         v = a * v + b0
-    return next(_density_estimates(params, [v], d))
+    scale, den, tail = _density_terms(params, d)
+    num = v * scale
+    return DensityEstimate(num / den, tail / den, Fraction(num, den))
 
 
-def _density_grid(params: AffineParams, width: int, depth: int) -> Iterator[DensityEstimate]:
-    """density(params, format(k, f"0{width}b"), depth) for k = 0..2^width-1 in
-    order, from one shared-prefix fold; each estimate is built when read.
+def _density_grid(params: AffineParams, width: int, depth: int) -> tuple[Iterator[int], int, int]:
+    """(nums, den, tail): density(params, format(k, f"0{width}b"), depth) is
+    nums[k] / den for k = 0..2^width-1 in order, every tail bound tail / den;
+    the numerators come from one shared-prefix fold, each built when read.
 
     The Horner folds of all 2^m prefixes of m = min(width, depth) digits come
     level by level, P[2j+x] = A P[j] + b_x, so each is one step from its
@@ -192,23 +213,22 @@ def _density_grid(params: AffineParams, width: int, depth: int) -> Iterator[Dens
     folds = [params.f1]
     for _ in range(min(width, depth)):
         folds = [a * v + b for v in folds for b in (b0, b1)]
+    scale, den, tail = _density_terms(params, depth)
     if depth <= width:
         repeat = 1 << (width - depth)
-        return (est for est in _density_estimates(params, folds, depth) for _ in range(repeat))
+        return (v * scale for v in folds for _ in range(repeat)), den, tail
     ac = a**(depth - width)
     zeros = b0 * (ac - 1) // (a - 1)
-    return _density_estimates(params, (v * ac + zeros for v in folds), depth)
+    return ((v * ac + zeros) * scale for v in folds), den, tail
 
 
-def _density_estimates(params: AffineParams, folds: Iterable[int], depth: int) -> Iterator[DensityEstimate]:
-    """The depth-d truncations v (2A-2) / (A^d (f(1) (2A-2) + b)) of the Horner
-    folds v, each with the one tail bound 2 max(b0,b1) over that denominator."""
-    a = params.a0
-    den = a**depth * (params.f1 * (2 * a - 2) + params.b)
-    tail = float(Fraction(2 * max(params.b0, params.b1), den))
-    for v in folds:
-        exact = Fraction(v * (2 * a - 2), den)
-        yield DensityEstimate(float(exact), tail, exact)
+def _density_terms(params: AffineParams, depth: int) -> tuple[int, int, int]:
+    """(2A-2, den, 2 max(b0,b1)) with den = A^d (f(1) (2A-2) + b): the depth-d
+    truncation of the Horner fold v is v (2A-2) / den, its tail bound
+    2 max(b0,b1) / den."""
+    scale = 2 * params.a0 - 2
+    den = params.a0**depth * (params.f1 * scale + params.b)
+    return scale, den, 2 * max(params.b0, params.b1)
 
 
 def lambda_threshold(params: AffineParams) -> ConcentrationThreshold:
@@ -232,39 +252,46 @@ def lambda_threshold(params: AffineParams) -> ConcentrationThreshold:
 def ratio_sequence(params: AffineParams, bits) -> list[float]:
     """mu(E_j(x)) / lambda(E_j(x)) for j = 1..len(bits).
 
-    The exact ratios come from ratio_sequence_exact, each converted once and
-    correctly rounded: a ratio below the double range becomes 0.0, one above
-    it inf (every ratio is positive).  In case 2B the ratios converge to the
-    density at x; in case 2C they collapse to zero or blow up according to
-    the digit densities against lambda_threshold.
+    The float of each ratio of ratio_sequence_exact, from the same integer
+    fold: one int/int division, correctly rounded as float(Fraction) is,
+    whether or not the pair is reduced.  A ratio below the double range
+    becomes 0.0, one above it inf (every ratio is positive).  In case 2B
+    the ratios converge to the density at x; in case 2C they collapse to
+    zero or blow up according to the digit densities against
+    lambda_threshold.
     """
     out = []
-    for r in ratio_sequence_exact(params, bits):
+    for num, den in _ratio_fold(params, bits):
         try:
-            out.append(float(r))
+            out.append(num / den)
         except OverflowError:
             out.append(math.inf)
     return out
 
 
 def ratio_sequence_exact(params: AffineParams, bits) -> list[Fraction]:
-    """2^j interval_measure(E(x1..xj)) for j = 1..len(bits): one integer fold
-    over the digits, one Fraction per value."""
+    """2^j interval_measure(E(x1..xj)) for j = 1..len(bits), exact."""
+    return [Fraction(num, den) for num, den in _ratio_fold(params, bits)]
+
+
+def _ratio_fold(params: AffineParams, bits) -> Iterator[tuple[int, int]]:
+    """The ratios 2^j interval_measure(E(x1..xj)) as unreduced integer pairs
+    (num, den), j = 1..len(bits): one fold over the digits.  The checks on
+    bits and params run at the first next()."""
     xs = parse_bits(bits)
     pq = _dyadic_sigma(params, "ratio sequence")
     if pq is None:
-        return [Fraction(1)] * len(xs)
+        yield from ((1, 1) for _ in xs)
+        return
     p, q = pq
-    a = params.a
-    out = []
+    a, b = params.a, params.b
     v = params.f1
-    apow = 1
+    den = (a - 2) * p
     for j, x in enumerate(xs, start=1):
         ab, bb = params.branch(x)
         v = ab * v + bb
-        apow *= a
-        out.append(Fraction((v * (a - 2) + params.b) * q << j, (a - 2) * p * apow))
-    return out
+        den *= a
+        yield (v * (a - 2) + b) * q << j, den
 
 
 # ----------------------------------------------------------------------
@@ -314,14 +341,32 @@ def point_mass_tail(params: AffineParams, n_max: int) -> Fraction:
 
 
 def point_mass_total(params: AffineParams, n_max: int) -> tuple[Fraction, Fraction]:
-    """(partial, 1): partial sums mu({0}) and all levels n <= n_max.
+    """(partial, 1): partial sums mu({0}) and all levels n <= n_max, the
+    last running total of _levels_2d.
 
     The atoms exhaust the measure: partial + point_mass_tail(n_max) == 1
     exactly, for every n_max.
     """
-    a, partial, w = _atoms_2d(params)
+    for _, _, cumulative, den in _levels_2d(params, n_max):
+        pass
+    return Fraction(cumulative, den), Fraction(1)
+
+
+def _levels_2d(params: AffineParams, n_max: int) -> Iterator[tuple[int, int, int, int]]:
+    """(count, each, cumulative, den) for the levels n = 0..n_max in case 2D:
+    the 2^(n-1) atoms of level n (mu({0}) alone at n = 0) weigh each / den
+    apiece, and all levels up to n together cumulative / den, exactly; den
+    grows by A per level.  One _atoms_2d call, then integer steps; the
+    checks run at the first next()."""
+    a, zero, w = _atoms_2d(params)
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
+    den = math.lcm(zero.denominator, w.denominator)
+    each = w.numerator * (den // w.denominator)
+    cumulative = zero.numerator * (den // zero.denominator)
+    yield 1, cumulative, cumulative, den
     for n in range(1, n_max + 1):
-        partial += 2**(n - 1) * w / a**n
-    return partial, Fraction(1)
+        count = 1 << (n - 1)
+        den *= a
+        cumulative = a * cumulative + count * each
+        yield count, each, cumulative, den

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ghostmeasure
-from ghostmeasure import AffineParams, build_comb, cdf_series, eval_f
+from ghostmeasure import AffineParams, _util, ghost, build_comb, cdf_series, eval_f
 from ghostmeasure.cli import _emit, build_parser, main
 
 
@@ -356,6 +356,26 @@ def test_points_cumulative(capsys):
     assert abs(final - (1 - 0.5 * (2 / 3) ** 10)) < 1e-12
     counts = [int(r[1]) for r in rows]
     assert counts == [1] + [2 ** (n - 1) for n in range(1, 11)]
+
+
+def test_points_does_no_per_row_work(capsys, monkeypatch):
+    # One case check for the whole table and no bit string per row: a
+    # per-row point_mass would classify and parse 2001 times.
+    calls = {"classify": 0, "parse_bits": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ghost, "classify", counting("classify", ghost.classify))
+    parse_bits = counting("parse_bits", _util.parse_bits)
+    monkeypatch.setattr(_util, "parse_bits", parse_bits)
+    monkeypatch.setattr(ghost, "parse_bits", parse_bits)
+    code, out, _ = run_cli(capsys, "points", "--params", "3", "0", "0", "1", "1", "--nmax", "2000")
+    assert code == 0 and out.count("\n") == 2002
+    assert calls["classify"] <= 1 and calls["parse_bits"] == 0, calls
 
 
 def test_points_wrong_case(capsys):

@@ -47,6 +47,7 @@ from ghostmeasure import (
     point_mass,
     point_mass_tail,
     point_mass_total,
+    ratio_sequence,
     ratio_sequence_exact,
     sigma_inf,
     sigma_norm,
@@ -155,11 +156,14 @@ def grid_and_depth(draw):
 @given(params_2b(), grid_and_depth())
 def test_density_grid_fold_matches_per_point_density(p, grid):
     width, depth = grid
-    rows = list(_density_grid(p, width, depth))
-    assert len(rows) == 1 << width
-    for k, est in enumerate(rows):
+    nums, den, tail = _density_grid(p, width, depth)
+    nums = list(nums)
+    assert len(nums) == 1 << width
+    for k, num in enumerate(nums):
         one = density(p, format(k, f"0{width}b"), depth)
-        assert est == one, k
+        assert Fraction(num, den) == one.exact, k
+        assert num / den == one.value, k
+        assert tail / den == one.tail_bound, k
 
 
 def mass_through_oracle(comb, idx: int) -> int:
@@ -357,6 +361,40 @@ def test_2d_point_mass_matches_oriented_weights(p, n, data):
     assert (point_mass_tail(p, n), point_mass_total(p, n)[0]) == point_mass_sum_oracle(p, n)
 
 
+@st.composite
+def dyadic_params_long_digits(draw) -> tuple[AffineParams, str]:
+    """DYADIC_PARAMS with digits that may leave the double range: random
+    digits, or a run of one digit (up to 1100) then random digits.
+
+    A run multiplies the ratio by about 2 A_x / A per digit: 2x for the
+    2^80 digit of (2^80, 1), inf past j = 1024; 2^-79x for the 1 digit, 0.0
+    from j = 14; 2/5x for the 1 digit of (4, 1), subnormals and then 0.0 past
+    j = 800.  A 2^80 branch factor adds 80 bits per digit to the exact
+    ratios, whose Fractions take seconds past 1000 digits, so such params
+    draw runs of at most 64 digits; the examples reach inf.
+    """
+    p = draw(DYADIC_PARAMS)
+    run = draw(st.integers(0, 64 if p.a > 2**40 else 1100))
+    return p, draw(st.sampled_from("01")) * run + draw(DIGITS)
+
+
+@PROPERTY
+@given(dyadic_params_long_digits())
+@example((AffineParams(2**20, 1, 0, 0, 1), "0" * 1100))  # inf from j = 1025
+@example((AffineParams(2**80, 1, 0, 0, 1), "1" * 20))  # 0.0 from j = 14
+@example((AffineParams(4, 1, 1, 0, 1), "1" * 850))  # subnormals, then 0.0
+@example((AffineParams(3, 3, 0, 2**80, 2**80), "01" * 50))
+def test_ratio_sequence_is_each_exact_ratio_rounded(case):
+    p, bits = case
+    want = []
+    for r in ratio_sequence_exact(p, bits):
+        try:
+            want.append(float(r))
+        except OverflowError:
+            want.append(math.inf)
+    assert ratio_sequence(p, bits) == want
+
+
 NULL_PARAMS = st.tuples(COEFF, COEFF).filter(any).map(lambda a: AffineParams(*a, 0, 0, 0))
 
 
@@ -527,6 +565,57 @@ def test_emit_matches_per_value_writer(table):
         out = io.StringIO()
         _emit(header, cols, fmt, out)
         assert out.getvalue() == emit_oracle(header, rows, fmt), fmt
+
+
+def cli_output(argv_: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv_) == 0, argv_
+    return out.getvalue()
+
+
+def points_rows_oracle(p: AffineParams, n_max: int) -> list[tuple]:
+    """The rows of `points` as the per-row loop built them: one point_mass
+    call per level, on the bit string whose last 1 sits at position n."""
+    rows = []
+    cumulative = Fraction(0)
+    for n in range(n_max + 1):
+        count = 1 if n == 0 else 1 << (n - 1)
+        each = point_mass(p, "0" * (n - 1) + "1" if n else "")
+        cumulative += count * each
+        rows.append((n, count, each, count * each, cumulative))
+    return rows
+
+
+def density_grid_rows_oracle(p: AffineParams, grid: int, depth: int) -> list[tuple]:
+    """The rows of `density --grid` point by point: the series value and
+    tail bound of density_oracle at each grid point's digits."""
+    width = grid.bit_length() - 1
+    return [(k / grid, *density_oracle(p, format(k, f"0{width}b"), depth)) for k in range(grid)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("params, n_max", [
+    ((3, 0, 0, 1, 1), 0), ((3, 0, 0, 1, 1), 1), ((3, 0, 0, 1, 1), 1000),
+    ((0, 3, 0, 1, 1), 0), ((0, 3, 0, 1, 1), 1), ((0, 3, 0, 1, 1), 1000),
+    ((5, 0, 2, 3, 0), 9), ((0, 4, 1, 0, 2), 9),
+])
+def test_points_table_matches_per_row_point_mass(params, n_max, fmt):
+    argv_ = ["points", "--params", *map(str, params), "--nmax", str(n_max), "--format", fmt]
+    want = emit_oracle(["n", "count", "mass_each", "mass_level", "cumulative"],
+                       points_rows_oracle(AffineParams(*params), n_max), fmt)
+    assert cli_output(argv_) == want
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("params", [(2, 2, 0, 1, 1), (3, 3, 1, 0, 0), (4, 4, 2, 5, 3)])
+@pytest.mark.parametrize("grid, depth", [(8, 0), (8, 2), (8, 3), (8, 4), (64, 6), (64, 40)])
+def test_density_grid_table_matches_per_point_series(params, grid, depth, fmt):
+    argv_ = ["density", "--params", *map(str, params), "--grid", str(grid), "--depth", str(depth),
+             "--format", fmt]
+    want = emit_oracle(["x", "g", "tail_bound"],
+                       density_grid_rows_oracle(AffineParams(*params), grid, depth), fmt)
+    assert cli_output(argv_) == want
 
 
 # ----------------------------------------------------------------------
