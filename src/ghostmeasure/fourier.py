@@ -29,15 +29,23 @@ pure-point question: W_N -> sum of squared atom masses, which is zero
 exactly when the measure is continuous.
 
 Limit, recursive and Wiener tables all go through one batched kernel,
-coeff_table: the t are grouped by product depth into fixed-size blocks, and
-each block runs the product and the indicator sum in split real/imaginary
-float64 arrays with exactly the operations of CPython's complex arithmetic,
-so every value is bit-identical to the scalar formula for that t alone.
-The phases e^{-2 pi i t/2^n} of a block come from one source, _phases,
-which reads the residue t mod 2^n off the int64 low = t & (2^63 - 1) in
-three cases: low & (2^n - 1) for n <= 63, low itself for 64 <= n <= 1022
-when t lies in [0, 2^63), and the scalar _unit_phase for every other
-(t, n), so negative and beyond-int64 t need no path of their own.
+coeff_table, in split real/imaginary float64 arrays with exactly the
+operations of CPython's complex arithmetic, so every value is bit-identical
+to the scalar formula for that t alone.  w_n depends on t only through
+t mod 2^n: for t = 2^a b with b odd, w_n(t) = w_{n-a}(b) for n > a+1, and
+the phase is exactly -1 at n = a+1 and exactly 1 below.  So the product
+runs once per distinct key (b, D - a), D the product depth of t: the keys
+are sorted by depth into fixed-size blocks, and each block runs the bare
+suffix products of its b from level D - a down to level 2.  Each t then
+finishes its own last min(a+1, D) levels from the two constant phases,
+with no trig.  These are the levels n <= a+1 where the indicator
+1{2^(n-1) | t} is 1, so the indicator sum is added there and nowhere else.
+The phases e^{-2 pi i b/2^n} of a block of keys come from one source,
+_phases, which reads the residue b mod 2^n off the int64
+low = b & (2^63 - 1) in three cases: low & (2^n - 1) for n <= 63, low
+itself for 64 <= n <= 1022 when b lies in [0, 2^63), and the scalar
+_unit_phase for every other (b, n), so negative and beyond-int64 keys need
+no path of their own.
 In these tables tail_bound covers only the truncation of the product, not
 rounding.  Direct tables (direct_table, and direct_fourier for one t) are
 the one lookup of mu_N^(t) in the comb's real FFT (approximant.Spectrum),
@@ -52,7 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Union
 
 from ._util import int_from_env, numpy
 from .approximant import Approximant
@@ -148,6 +156,28 @@ class CoeffTable:
     depth: np.ndarray
 
 
+class _Floats(NamedTuple):
+    """The parameters as doubles, and (2^(n-1), A^n) for n = 1..kmax."""
+
+    a0: float
+    a1: float
+    a: float
+    b0: float
+    b1: float
+    f1: float
+    scales: list
+
+
+def _floats(params: AffineParams, kmax: int) -> _Floats:
+    """DomainError where a value leaves the double range."""
+    try:
+        return _Floats(*map(float, (params.a0, params.a1, params.a, params.b0, params.b1, params.f1)),
+                       [(float(1 << (n - 1)), float(params.a**n)) for n in range(1, kmax + 1)])
+    except OverflowError:
+        raise DomainError("the indicator sum leaves the double range "
+                          "(2^(n-1) or A^n for n up to v2(t)+1)") from None
+
+
 def _mul(ar, ai, br, bi):
     """(ar + i ai)(br + i bi) as CPython's _Py_c_prod computes it."""
     return ar * br - ai * bi, ar * bi + ai * br
@@ -206,47 +236,66 @@ def _phases(ts: np.ndarray, low: np.ndarray):
     return phase
 
 
-def _kernel(params: AffineParams, phase, depth: np.ndarray, k, norm: float):
-    """Coefficients of one block of t sorted by decreasing depth, as (re, im).
+def _factor(c: _Floats, er, ei):
+    """w_n = (A0 + A1 e_n)/A at the phases e_n = er + i ei."""
+    ur, ui = _mul(c.a1, 0.0, er, ei)
+    return _div(c.a0 + ur, 0.0 + ui, c.a)
 
-    The suffix products P_n = prod_{j=n+1..depth} (A0 + A1 e_j)/A run from
-    n = depth down to 0, where e_n = phase(n, m), the block's _phases at
-    level n, for the m t whose depth is at least n.  With k None the
-    result is the bare product P_0; otherwise it is
-    (f1 P_0 + sum_{n=1..k} 2^(n-1) (b0 + b1 e_n)/A^n P_n)/norm,
+
+def _kernel(c: _Floats, phase, depth: np.ndarray):
+    """Bare suffix products prod_{n=2..depth} w_n of one block of keys sorted
+    by decreasing depth (every depth >= 2), as (re, im).
+
+    The products run from n = depth down to 2, where e_n = phase(n, m), the
+    block's _phases at level n, for the m keys whose depth is at least n.
+    Level 1 and the indicator sum are left to _finish.
+    """
+    np = numpy()
+    top = int(depth[0])
+    active = np.searchsorted(-depth, -np.arange(top, 1, -1), side="right").tolist()
+    sr, si = np.ones(len(depth)), np.zeros(len(depth))
+    for n, m in zip(range(top, 1, -1), active):
+        wr, wi = _factor(c, *phase(n, m))
+        sr[:m], si[:m] = _mul(wr, wi, sr[:m], si[:m])
+    return sr, si
+
+
+def _finish(c: _Floats, v2: np.ndarray, last: np.ndarray, sr: np.ndarray,
+            si: np.ndarray, norm: Optional[float]):
+    """Coefficients of one block of t sorted by decreasing last = min(v2 + 1, D),
+    from the suffix products P_last in (sr, si), as (re, im).
+
+    Levels n = last..1 have the constant phases e_n = -1 at n = v2 + 1 and 1
+    below, so their factors come from one evaluation at each of the two
+    phases, with no trig.  With norm None the result is the bare product
+    P_0; otherwise every one of these levels is n <= v2 + 1, where the
+    indicator 1{2^(n-1) | t} is 1, and the result is
+    (f1 P_0 + sum_{n=1..last} 2^(n-1) (b0 + b1 e_n)/A^n P_n)/norm,
     summed in increasing n.
     """
     np = numpy()
-    kmax = 0 if k is None else int(k.max())
-    try:
-        a0, a1, a, b0, b1, f1 = map(float, (params.a0, params.a1, params.a,
-                                            params.b0, params.b1, params.f1))
-        scales = [(float(1 << (n - 1)), float(params.a**n)) for n in range(1, kmax + 1)]
-    except OverflowError:
-        raise DomainError("the indicator sum leaves the double range "
-                          "(2^(n-1) or A^n for n up to v2(t)+1)") from None
-    top = int(depth[0])
-    active = np.searchsorted(-depth, -np.arange(top, 0, -1), side="right").tolist()
-    sr, si = np.ones(len(depth)), np.zeros(len(depth))
+    top = int(last[0])
+    active = np.searchsorted(-last, -np.arange(top, 0, -1), side="right").tolist()
+    er, ei = np.array([1.0, -1.0]), np.zeros(2)
+    w = _factor(c, er, ei)
+    ur, ui = _mul(c.b1, 0.0, er, ei)
     terms = []
     for n, m in zip(range(top, 0, -1), active):
-        er, ei = phase(n, m)
+        minus = v2[:m] == n - 1
         p_re, p_im = sr[:m], si[:m]
-        if n <= kmax:
-            sel = np.flatnonzero(k[:m] >= n)
-            ur, ui = _mul(b1, 0.0, er[sel], ei[sel])
-            two, apow = scales[n - 1]
-            cr, ci = _div(*_mul(two, 0.0, b0 + ur, 0.0 + ui), apow)
-            terms.append((sel, *_mul(cr, ci, p_re[sel], p_im[sel])))
-        ur, ui = _mul(a1, 0.0, er, ei)
-        wr, wi = _div(a0 + ur, 0.0 + ui, a)
+        if norm is not None:
+            two, apow = c.scales[n - 1]
+            coef = _div(*_mul(two, 0.0, c.b0 + ur, 0.0 + ui), apow)
+            cr, ci = (np.where(minus, x[1], x[0]) for x in coef)
+            terms.append(_mul(cr, ci, p_re, p_im))
+        wr, wi = (np.where(minus, x[1], x[0]) for x in w)
         sr[:m], si[:m] = _mul(wr, wi, p_re, p_im)
-    if k is None:
+    if norm is None:
         return sr, si
-    acc_r, acc_i = _mul(f1, 0.0, sr, si)
-    for sel, tr, ti in reversed(terms):
-        acc_r[sel] += tr
-        acc_i[sel] += ti
+    acc_r, acc_i = _mul(c.f1, 0.0, sr, si)
+    for tr, ti in reversed(terms):
+        acc_r[:tr.size] += tr
+        acc_i[:ti.size] += ti
     return _div(acc_r, acc_i, norm)
 
 
@@ -293,9 +342,11 @@ def coeff_table(params: AffineParams, ts: Iterable[int], tol: float = 1e-12,
                 level: Optional[int] = None) -> CoeffTable:
     """mu^(t) (level None, truncated at tol) or mu_N^(t) at level N, for every t.
 
-    One batched pass: the nonzero t, of any size or sign, are sorted by
-    product depth into blocks of _BLOCK, and each block runs through one
-    split re/im kernel fed by one phase source (_phases), so every value is
+    One batched pass over the nonzero t, of any size or sign: the product
+    runs once per distinct key (odd part b, depth D - v2(t)), keys sorted by
+    depth into blocks of _BLOCK through one split re/im kernel fed by one
+    phase source (_phases), and each t finishes its last min(v2(t) + 1, D)
+    levels, with the indicator sum, in _finish.  Every value is
     bit-identical to the scalar complex formula of coeff_limit or
     coeff_recursive for that t alone.  tail_bound covers the truncation of
     the infinite product only, not floating-point rounding.
@@ -311,7 +362,7 @@ def coeff_table(params: AffineParams, ts: Iterable[int], tol: float = 1e-12,
         raise DomainError("sequence is identically zero (homogeneous with f(1)=0)")
     re, im = np.zeros(size), np.zeros(size)
     tail, depth = np.zeros(size), np.zeros(size, dtype=np.int64)
-    k = norm = None
+    norm = None
     with np.errstate(all="ignore"):
         if level is not None and params.a == 0:
             # The comb alternates b0, b1: (b0 + b1 e^{-2 pi i t/2^N})/b on
@@ -343,23 +394,56 @@ def coeff_table(params: AffineParams, ts: Iterable[int], tol: float = 1e-12,
                     raise DomainError(_DEPTH_RANGE) from None
                 depth[idx], tail[idx] = _product_depths(params, tabs, v2, tol)
                 if not params.homogeneous:
-                    k, norm = v2 + 1, _normaliser(sigma_inf(params))
+                    norm = _normaliser(sigma_inf(params))
             else:
                 depth[idx] = level
-                k, norm = np.minimum(v2 + 1, level), _normaliser(sigma_norm(params, level))
-            _evaluate(params, tn, low, idx, depth, k, norm, re, im)
+                norm = _normaliser(sigma_norm(params, level))
+            re[idx], im[idx] = _evaluate(params, tn, depth[idx], v2, norm)
         return CoeffTable(re, im, np.hypot(re, im), tail, depth)
 
 
-def _evaluate(params, tn, low, idx, depth, k, norm, re, im) -> None:
-    """Run the kernel over the nonzero t (tn, at positions idx, with low and
-    k aligned to idx) in depth-sorted blocks, writing re/im in place."""
-    order = numpy().argsort(-depth[idx], kind="stable")
+def _evaluate(params, tn, d, v2, norm):
+    """(re, im) of the nonzero t (tn, with depths d and valuations v2).
+
+    The product of levels v2+2..d of t = 2^v2 b is that of levels 2..d-v2
+    of b, so the kernel runs once per distinct key (b, d - v2) with
+    d - v2 >= 2; _finish then takes each t from its key's product, or from 1
+    without a key, through its last min(v2 + 1, d) levels.
+    """
+    np = numpy()
+    last = np.minimum(v2 + 1, d)
+    c = _floats(params, int(last.max()) if norm is not None else 0)
+    reduced = d - v2
+    keyed = np.flatnonzero(reduced >= 2)
+    # The exact odd parts b, as int64 when every t fits and as Python ints
+    # otherwise, so t that agree on their low 63 bits never share a key.
+    # Sorting by decreasing depth, then b, puts equal keys side by side and
+    # the keys in kernel order.
+    try:
+        odd = tn[keyed].astype(np.int64) >> v2[keyed]
+    except OverflowError:
+        odd = tn[keyed] >> v2[keyed]
+    kdepth = reduced[keyed]
+    order = np.lexsort((odd, -kdepth))
+    odd, kdepth = odd[order], kdepth[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (odd[1:] != odd[:-1]) | (kdepth[1:] != kdepth[:-1])
+    slot = np.empty(order.size, dtype=np.int64)
+    slot[order] = np.cumsum(new) - 1
+    odd, kdepth = odd[new], kdepth[new]
+    low, odd = (odd & _LOW_BITS).astype(np.int64), odd.astype(object)
+    pr, pi = np.empty(odd.size), np.empty(odd.size)
+    for lo in range(0, odd.size, _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        pr[blk], pi[blk] = _kernel(c, _phases(odd[blk], low[blk]), kdepth[blk])
+    sr, si = np.ones(d.size), np.zeros(d.size)
+    sr[keyed], si[keyed] = pr[slot], pi[slot]
+    re, im = np.empty(d.size), np.empty(d.size)
+    order = np.argsort(-last, kind="stable")
     for lo in range(0, order.size, _BLOCK):
         blk = order[lo:lo + _BLOCK]
-        pos = idx[blk]
-        phase = _phases(tn[blk], low[blk])
-        re[pos], im[pos] = _kernel(params, phase, depth[pos], None if k is None else k[blk], norm)
+        re[blk], im[blk] = _finish(c, v2[blk], last[blk], sr[blk], si[blk], norm)
+    return re, im
 
 
 def direct_table(comb: Approximant, ts: Iterable[int]) -> CoeffTable:
@@ -409,7 +493,7 @@ def coeff_limit(params: AffineParams, t: int, tol: float = 1e-12) -> CoeffValue:
     plus the finite sum that the indicator leaves alive.  One t through
     coeff_table, the batched kernel that every coefficient table uses; for
     many t call coeff_table once, since each call pays the kernel's
-    per-level array overhead (about 2.5 ms at depth 50).
+    per-level array overhead (about 2 ms at depth 50).
 
     tail_bound bounds the truncation of the infinite product only; the
     floating-point rounding of the D factors and of the finite sum is not

@@ -1,7 +1,9 @@
 """Import lints: every name a module imports is used in it, and numpy is
-imported only by _util.numpy, the accessor that loads it on first use.
+imported only by _util.numpy, the accessor that loads it on first use.  A
+trig lint: numpy's cos and sin appear only in fourier._phases, the
+coefficient kernel's one phase source.
 
-pyflakes would do the first, but it is not a dependency, so both checks are
+pyflakes would do the first, but it is not a dependency, so the checks are
 small ast walks.  The package __init__ is exempt from the first: its imports
 are re-exports.
 """
@@ -79,3 +81,34 @@ def test_lint_finds_a_numpy_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_numpy_is_imported_only_by_the_accessor(path):
     assert numpy_imports(path.read_text()) == (["numpy"] if path.name == "_util.py" else [])
+
+
+def array_trig(source: str) -> list[str]:
+    """The outermost function around each use of a cos or sin attribute not
+    taken from math (np.cos, numpy().sin, ...), or "module" outside any."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and where == "module":
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr in ("cos", "sin")
+                    and getattr(child.value, "id", None) != "math"):
+                found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), "module")
+    return found
+
+
+def test_lint_finds_array_trig():
+    source = ("import math\nz = math.cos(1.0)\ndef f(np, x):\n    return np.sin(x) + math.sin(x)\n"
+              "def g(x):\n    def h():\n        return numpy().cos(x)\n    return h\nw = np.cos\n")
+    assert array_trig(source) == ["f", "g", "module"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_array_trig_only_in_the_phase_source(path):
+    allowed = "_phases" if path.name == "fourier.py" else None
+    assert [where for where in array_trig(path.read_text()) if where != allowed] == []

@@ -686,6 +686,12 @@ def recursive_oracle(p: AffineParams, level: int, t: int) -> complex:
     return acc / float(sigma_norm(p, level))
 
 
+def recursive_row(p: AffineParams, level: int, t: int) -> tuple[complex, float, int]:
+    """(value, tail_bound, depth) of a recursive table row: bound 0, depth N
+    where the product runs (A != 0 and t != 0), else 0."""
+    return recursive_oracle(p, level, t), 0.0, level if p.a and t else 0
+
+
 def wiener_oracle(p: AffineParams, top: int, tol: float) -> list[float]:
     """W_0..W_top with one running Python float sum over n = 1..2^top."""
     out, running, n = [], 0.0, 1
@@ -765,10 +771,7 @@ def test_limit_kernel_matches_scalar_loops(p, ts, tol):
 @PROPERTY
 @given(kernel_params(), st.integers(1, 1100), st.lists(KERNEL_T, min_size=1, max_size=4))
 def test_recursive_kernel_matches_scalar_loops(p, level, ts):
-    def oracle(t):
-        return recursive_oracle(p, level, t), 0.0, level if p.a and t else 0
-
-    check_batch(lambda ts: coeff_table(p, ts, level=level), oracle, ts)
+    check_batch(lambda ts: coeff_table(p, ts, level=level), lambda t: recursive_row(p, level, t), ts)
     want = oracle_outcome(lambda: recursive_oracle(p, level, ts[0]))
     got = outcome(lambda: coeff_recursive(p, level, ts[0]))
     assert want == got if want == "error" else bits(got.real) + bits(got.imag) == bits(want.real) + bits(want.imag)
@@ -794,20 +797,70 @@ def test_phases_match_unit_phase(ts):
             assert (bits(x), bits(y)) == (bits(z.real), bits(z.imag)), (t, n)
 
 
+def kernel_keys(ts, depth_of) -> set:
+    """The kernel's keys (odd part, D - v2) of the nonzero t with D - v2 >= 2."""
+    keys = {(t >> _v2(t), depth_of(t) - _v2(t)) for t in ts if t}
+    return {key for key in keys if key[1] >= 2}
+
+
 def test_table_across_blocks_matches_scalar_loops():
     """One table of more than _BLOCK t, mixing small positive t, negative t
-    deeper than 63, t beyond int64 and nonzero multiples of 2^63, equals the
-    scalar loops bit for bit in limit and recursive mode."""
+    deeper than 63, t beyond int64, nonzero multiples of 2^63, and more than
+    _BLOCK kernel keys each shared by several t (b 2^a for a = 0, 3, some of
+    them repeated), equals the scalar loops bit for bit in limit and
+    recursive mode."""
     rng = random.Random(5)
+    shared = [b << a for b in range(1, 2 * _BLOCK + 200, 2) for a in (0, 3)]
     ts = (list(range(1, 1400)) + [2**40 + 3 * j for j in range(200)]
           + [-(2**30) - 7 * j for j in range(400)] + [2**100 + 3 + 2 * j for j in range(60)]
-          + [j * 2**63 for j in (1, -1, 2, 3, -5, 7)] + [3**60, -(2**90), 2**63 - 1, -(2**63) - 1])
+          + [j * 2**63 for j in (1, -1, 2, 3, -5, 7)] + [3**60, -(2**90), 2**63 - 1, -(2**63) - 1]
+          + shared + shared[::3])
     rng.shuffle(ts)
     assert len(ts) > _BLOCK
     p = AffineParams(1, 2, 0, 1, 1)
+    limit_keys = kernel_keys(ts, lambda t: product_depth(p, t, 1e-12)[0])
+    recursive_keys = kernel_keys(ts, lambda t: 70)
+    assert len(ts) > 1.5 * len(limit_keys) and len(limit_keys) > _BLOCK
+    assert len(ts) > 1.1 * len(recursive_keys) and len(recursive_keys) > _BLOCK
     assert_table_matches(coeff_table(p, ts), [limit_oracle(p, t, 1e-12) for t in ts])
     want = [(recursive_oracle(p, 70, t), 0.0, 70) for t in ts]
     assert_table_matches(coeff_table(p, ts, level=70), want)
+
+
+ODD = st.one_of(
+    st.integers(-40, 40).map(lambda k: 2 * k + 1),
+    st.integers(-4, 4).map(lambda k: 2**53 + 2 * k + 1),
+    st.integers(0, 3).map(lambda k: 2**64 + 2 * k + 1),
+    st.sampled_from([3, 3 + 2**64, -(3 + 2**64), 2**100 + 1, -(2**63) + 1]),
+)
+
+
+@st.composite
+def doubling_tables(draw) -> list[int]:
+    """{s b 2^a}: a few odd b, each at a run of consecutive a in 0..70, both
+    signs, with t = 0 and repeated t drawn in; 3 and 3 + 2^64 share their
+    low 63 bits."""
+    ts = []
+    for b in draw(st.lists(ODD, min_size=1, max_size=3)):
+        lo = draw(st.integers(0, 70))
+        for a in range(lo, min(lo + draw(st.integers(1, 5)), 71)):
+            ts += [s * (b << a) for s in draw(st.sampled_from([(1,), (-1,), (1, -1)]))]
+    ts += draw(st.lists(st.sampled_from(ts), max_size=3)) + draw(st.sampled_from([[], [0]]))
+    return draw(st.permutations(ts))
+
+
+@KERNEL
+@given(kernel_params(), doubling_tables(), st.sampled_from([1e-12, 1e-3, 1e-20]),
+       st.integers(1, 80))
+@example(AffineParams(1, 2, 0, 1, 1), [3, 3 + 2**64, 6, 6 + 2**65], 1e-3, 40)
+@example(AffineParams(3, 5, 0, 0, 1), [5 << 70, 5 << 69, -5, 0, 5 << 70], 1e-3, 70)
+def test_tables_closed_under_doubling_match_scalar_loops(p, ts, tol, level):
+    """t and 2^a t share a kernel key (odd part, reduced depth); every table
+    of such t equals the scalar loops bit for bit, in limit mode (at
+    tol = 1e-3 the depth floors make D(t) - a differ from D(b)) and in
+    recursive mode, levels at or below v2(t) included."""
+    check_batch(lambda ts: coeff_table(p, ts, tol), lambda t: limit_oracle(p, t, tol), ts)
+    check_batch(lambda ts: coeff_table(p, ts, level=level), lambda t: recursive_row(p, level, t), ts)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)
