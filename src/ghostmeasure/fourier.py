@@ -41,8 +41,10 @@ finishes its own last min(a+1, D) levels from the two constant phases,
 with no trig.  These are the levels n <= a+1 where the indicator
 1{2^(n-1) | t} is 1, so the indicator sum is added there and nowhere else.
 The phases e^{-2 pi i b/2^n} of a block of keys come from one source,
-_phases, which reads the residue b mod 2^n off the int64
-low = b & (2^63 - 1) in three cases: low & (2^n - 1) for n <= 63, low
+_phases, which serves only odd b at levels n >= 2.  At n = 2 an odd b is a
+quarter point, and the phase is exactly -i or +i by b mod 4; at n >= 3 no
+odd b is one, so the phase is plain cos and sin of the residue b mod 2^n,
+read off the int64 low = b & (2^63 - 1): low & (2^n - 1) for n <= 63, low
 itself for 64 <= n <= 1022 when b lies in [0, 2^63), and the scalar
 _unit_phase for every other (b, n), so negative and beyond-int64 keys need
 no path of their own.
@@ -132,10 +134,7 @@ _BLOCK = 2048
 _LOW_BITS = (1 << 63) - 1
 
 _DEPTH_RANGE = "|t|/tol too large: the product depth leaves the double range"
-
-# e^{-2 pi i k/4}, k = 0..3: the quarter points that _unit_phase makes exact.
-_QUARTER_RE = (1.0, 0.0, -1.0, 0.0)
-_QUARTER_IM = (0.0, -1.0, 0.0, 1.0)
+_PARAM_RANGE = "a parameter (A0, A1, A, b0, b1 or f(1)) leaves the double range"
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,11 +170,15 @@ class _Floats(NamedTuple):
 def _floats(params: AffineParams, kmax: int) -> _Floats:
     """DomainError where a value leaves the double range."""
     try:
-        return _Floats(*map(float, (params.a0, params.a1, params.a, params.b0, params.b1, params.f1)),
-                       [(float(1 << (n - 1)), float(params.a**n)) for n in range(1, kmax + 1)])
+        values = [float(x) for x in (params.a0, params.a1, params.a, params.b0, params.b1, params.f1)]
+    except OverflowError:
+        raise DomainError(_PARAM_RANGE) from None
+    try:
+        scales = [(float(1 << (n - 1)), float(params.a**n)) for n in range(1, kmax + 1)]
     except OverflowError:
         raise DomainError("the indicator sum leaves the double range "
                           "(2^(n-1) or A^n for n up to v2(t)+1)") from None
+    return _Floats(*values, scales)
 
 
 def _mul(ar, ai, br, bi):
@@ -190,46 +193,39 @@ def _div(xr, xi, d: float):
     return (xr + xi * ratio) / denom, (xi - xr * ratio) / denom
 
 
-def _phases(ts: np.ndarray, low: np.ndarray):
-    """The one phase source: e^{-2 pi i t/2^n} for the first m t at level n,
-    equal to _unit_phase(t, n) bit for bit.
+def _phases(odd: np.ndarray):
+    """The one phase source: e^{-2 pi i b/2^n} for the first m odd b at level
+    n >= 2, equal to _unit_phase(b, n) bit for bit.
 
-    ts is an object array of ints and low is ts & (2^63 - 1) as int64,
-    which fits for any int t.  r = t mod 2^n is low & (2^n - 1) for
-    n <= 63 and low itself for t in [0, 2^63); r/2^n is then one correctly
+    odd holds the odd keys as _evaluate does: int64 when every t fits,
+    Python ints otherwise.  At n = 2 the phase is exactly (b mod 4) - 2
+    times i, read off low = b & (2^63 - 1), an int64 for any int b.  At
+    n >= 3 no odd b is a quarter point: r = b mod 2^n is low & (2^n - 1) for
+    n <= 63 and low itself for b in [0, 2^63); r/2^n is then one correctly
     rounded scaling while r 2^-n stays a normal double, which n <= 1022
-    ensures.  The other (t, n) pairs, n > 63 with t outside [0, 2^63) and
-    every t at n > 1022, take _unit_phase.
+    ensures.  The other (b, n) pairs, n > 63 with b outside [0, 2^63) and
+    every b at n > 1022, take _unit_phase.
     """
     np = numpy()
-    quarter_re, quarter_im = np.array(_QUARTER_RE), np.array(_QUARTER_IM)
+    low = (odd & _LOW_BITS).astype(np.int64)
     other = None
 
     def phase(n: int, m: int):
         nonlocal other
+        if n == 2:
+            return np.zeros(m), (low[:m] & 3) - 2.0
         r = low[:m] & ((1 << n) - 1) if n <= 63 else low[:m]
         ang = TAU * (r.astype(np.float64) * math.ldexp(1.0, -n))
         re, im = np.cos(ang), -np.sin(ang)
-        # r = k 2^(n-2) is a quarter point.  Testing r's low bits, not 4r
-        # (which overflows int64 from n = 61), keeps the test exact; from
-        # n = 65 on the only quarter point below 2^63 is r = 0.
-        if n == 1:
-            hit, k = slice(None), r << 1
-        else:
-            s = min(n - 2, 63)
-            hit = np.flatnonzero((r & ((1 << s) - 1)) == 0)
-            k = r[hit] >> s
-        re[hit] = quarter_re[k]
-        im[hit] = quarter_im[k]
         if n > 63:
             if other is None:
-                # Positions of the t outside [0, 2^63), where low is not t
+                # Positions of the b outside [0, 2^63), where low is not b
                 # itself; found at the first level past 63, if any.
-                other = np.flatnonzero((ts < 0) | (ts > _LOW_BITS)).tolist()
+                other = np.flatnonzero((odd < 0) | (odd > _LOW_BITS)).tolist()
             for i in range(m) if n > 1022 else other:
                 if i >= m:
                     break
-                z = _unit_phase(ts[i], n)
+                z = _unit_phase(int(odd[i]), n)
                 re[i], im[i] = z.real, z.imag
         return re, im
 
@@ -309,7 +305,7 @@ def _product_depths(params: AffineParams, tabs: np.ndarray, v2: np.ndarray, tol:
     try:
         amax, a = float(max(params.a0, params.a1)), float(params.a)
     except OverflowError:
-        raise DomainError(_DEPTH_RANGE) from None
+        raise DomainError(_PARAM_RANGE) from None
     depth = np.maximum(v2 + 8, 16)
     target = 4.0 * math.pi * amax * tabs / (a * min(tol, 1.0))
     big = np.flatnonzero(target > 1.0)
@@ -407,7 +403,8 @@ def _evaluate(params, tn, d, v2, norm):
 
     The product of levels v2+2..d of t = 2^v2 b is that of levels 2..d-v2
     of b, so the kernel runs once per distinct key (b, d - v2) with
-    d - v2 >= 2; _finish then takes each t from its key's product, or from 1
+    d - v2 >= 2, and _phases sees only odd b at levels n >= 2, in the array
+    held here; _finish then takes each t from its key's product, or from 1
     without a key, through its last min(v2 + 1, d) levels.
     """
     np = numpy()
@@ -431,11 +428,10 @@ def _evaluate(params, tn, d, v2, norm):
     slot = np.empty(order.size, dtype=np.int64)
     slot[order] = np.cumsum(new) - 1
     odd, kdepth = odd[new], kdepth[new]
-    low, odd = (odd & _LOW_BITS).astype(np.int64), odd.astype(object)
     pr, pi = np.empty(odd.size), np.empty(odd.size)
     for lo in range(0, odd.size, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
-        pr[blk], pi[blk] = _kernel(c, _phases(odd[blk], low[blk]), kdepth[blk])
+        pr[blk], pi[blk] = _kernel(c, _phases(odd[blk]), kdepth[blk])
     sr, si = np.ones(d.size), np.zeros(d.size)
     sr[keyed], si[keyed] = pr[slot], pi[slot]
     re, im = np.empty(d.size), np.empty(d.size)

@@ -1,7 +1,8 @@
 """Import lints: every name a module imports is used in it, and numpy is
 imported only by _util.numpy, the accessor that loads it on first use.  A
 trig lint: numpy's cos and sin appear only in fourier._phases, the
-coefficient kernel's one phase source.
+coefficient kernel's one phase source.  A dead-name lint: every module-level
+private name bound in the package is read somewhere in it.
 
 pyflakes would do the first, but it is not a dependency, so the checks are
 small ast walks.  The package __init__ is exempt from the first: its imports
@@ -112,3 +113,42 @@ def test_lint_finds_array_trig():
 def test_array_trig_only_in_the_phase_source(path):
     allowed = "_phases" if path.name == "fourier.py" else None
     assert [where for where in array_trig(path.read_text()) if where != allowed] == []
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """module:name for each module-level _name bound in one of sources (by
+    def, class or assignment) that no source reads: an ast Name or Attribute
+    load, or an import.  A mention in a docstring or comment is no read."""
+    bound, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:
+                targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+                names = [n.id for t in targets if t for n in ast.walk(t) if isinstance(n, ast.Name)]
+            bound += [(module, name) for name in names
+                      if name.startswith("_") and not name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                read |= {a.name.split(".")[-1] for a in node.names}
+    return [f"{module}:{name}" for module, name in bound if name not in read]
+
+
+def test_lint_finds_a_dead_private_name():
+    sources = {
+        "a": ("_USED = 1\n_DEAD = (1, 2)\n_MENTIONED = 3\n__all__ = []\n"
+              "def _helper():\n    \"Not _MENTIONED.\"\n    return _USED  # _DEAD\n"
+              "class _Gone:\n    pass\n_x, _y = 1, 2\n_z: int = _y\n"),
+        "b": "from a import _helper\nimport a\nw = a._x\na._z = 0\n",
+    }
+    assert dead_private_names(sources) == ["a:_DEAD", "a:_MENTIONED", "a:_Gone", "a:_z"]
+
+
+def test_private_names_are_read():
+    assert dead_private_names({p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}) == []

@@ -785,16 +785,54 @@ PHASE_T = st.one_of(KERNEL_T, st.sampled_from([2**53 + 1, 2**62 + 1, 2**63 - 3])
 @given(st.lists(PHASE_T, min_size=1, max_size=8))
 def test_phases_match_unit_phase(ts):
     """Every phase of the kernel's one phase source equals _unit_phase bit for
-    bit at every level a limit or recursive table can reach, for each prefix."""
-    ts = np.array(ts, dtype=object)
-    phase = _phases(ts, (ts & (2**63 - 1)).astype(np.int64))
-    for n in range(1, 1101):
-        m = len(ts) - n % len(ts)
-        re, im = phase(n, m)
-        assert len(re) == len(im) == m
-        for t, x, y in zip(ts, re.tolist(), im.tolist()):
-            z = _unit_phase(t, n)
-            assert (bits(x), bits(y)) == (bits(z.real), bits(z.imag)), (t, n)
+    bit for the odd keys it is fed (the odd parts of ts, 1 for t = 0) at
+    every level n >= 2 a limit or recursive table can reach, for each
+    prefix, with the keys held as Python ints and, when every key fits, as
+    int64 too."""
+    odd = [t >> _v2(t) if t else 1 for t in ts]
+    held = [np.array(odd, dtype=object)]
+    if all(-(2**63) <= b < 2**63 for b in odd):
+        held.append(np.array(odd, dtype=np.int64))
+    for keys in held:
+        phase = _phases(keys)
+        for n in range(2, 1101):
+            m = len(odd) - n % len(odd)
+            re, im = phase(n, m)
+            assert len(re) == len(im) == m
+            for b, x, y in zip(odd, re.tolist(), im.tolist()):
+                z = _unit_phase(b, n)
+                assert (bits(x), bits(y)) == (bits(z.real), bits(z.imag)), (b, n, keys.dtype)
+
+
+def test_kernel_asks_phases_only_for_odd_keys_from_level_two(monkeypatch):
+    """The contract test_phases_match_unit_phase relies on: over a table of
+    even, negative, 2^63-multiple and beyond-2^64 t, in limit mode and at
+    recursive N = 2, 70 and 1100, every key the kernel hands _phases is odd
+    and every level it asks for is >= 2; the keys come as int64 and as
+    Python ints."""
+    served, dtypes = [], set()
+
+    def spy(odd):
+        dtypes.add(odd.dtype)
+        phase = _phases(odd)
+
+        def serve(n, m):
+            served.append((n, odd[:m].tolist()))
+            return phase(n, m)
+
+        return serve
+
+    monkeypatch.setattr("ghostmeasure.fourier._phases", spy)
+    ts = (list(range(-40, 41)) + [j * 2**63 for j in (1, -1, 2, 3, -5)]
+          + [2**64 + 2, 3 * 2**65, -(2**70) - 6, 2**100 + 4, 3**90 * 8])
+    p = AffineParams(1, 2, 0, 1, 1)
+    coeff_table(p, ts)
+    for level in (2, 70, 1100):
+        coeff_table(p, ts, level=level)
+    levels = {n for n, _ in served}
+    assert min(levels) == 2 and max(levels) == 1100
+    assert all(b % 2 for _, keys in served for b in keys)
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
 
 
 def kernel_keys(ts, depth_of) -> set:
