@@ -15,9 +15,10 @@ in the value of f at the prefix (sequence._block_sum), so a dyadic mass
 is one block sum.  F_N at an atom is one descent of the N digits of the
 atom's index with a block sum at every 1-digit; a grid of values is one
 sweep (_masses_through) in which each index resumes the descent of the one
-before at the highest digit where the two differ.  The exact atoms
-(Approximant.weights) are built only when read, by tests that use them as
-the brute-force oracle.
+before at the highest digit where the two differ, and reads its low digits
+from one table of the atoms below a node, affine in the node's value.  The
+exact atoms (Approximant.weights) are built only when read, by tests that
+use them as the brute-force oracle.
 Approximant.spectrum is one real FFT of the atoms as doubles, read off the
 one region builder (sequence._region, int64 when the values fit, else
 Python integers), with the a-priori rounding bound derived in Spectrum;
@@ -37,7 +38,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Union
+from itertools import accumulate
+from typing import TYPE_CHECKING, Sequence, Union
 
 from .errors import DomainError
 from .sequence import AffineParams, _block_sum, _check_level, _region, big_sigma, eval_f
@@ -221,43 +223,71 @@ def build_comb(params: AffineParams, level: int) -> Approximant:
 # Distribution function and interval masses
 # ----------------------------------------------------------------------
 
-def _masses_through(comb: Approximant, idxs) -> list[int]:
+def _masses_through(comb: Approximant, idxs: Sequence[int]) -> list[int]:
     """[weights[0] + ... + weights[i] for i in idxs], from one shared descent.
 
-    Each mass descends the N digits of its index from the top: at every
-    1-digit the block under the left sibling lies below the index, and the
-    last value reached is the atom at the index itself.  The state before
-    every digit is kept, so each index resumes the descent of the one before
-    at the highest digit where the two differ (any order is correct; sorted
-    G indices cost about N - log2 G + 1 steps each, a repeat nothing).
+    Each index splits into its high N - k digits and its low k digits, with
+    k = min(floor(log2 G) - 1, ceil(N/2)) for G indices (0 for G < 4).  The
+    high digits are descended from the top: at every 1-digit the block under
+    the left sibling lies below the index, and the node reached has value v
+    with the mass acc of every atom before its block.  The state before
+    every high digit is kept, so each index resumes the descent of the one
+    before at the highest digit where the two differ (any order is correct;
+    a repeated high part costs nothing).  The low digits are one base-2^k
+    digit: the 2^k atoms k digits below a node where f = v are
+    P[j] v + Q[j], built once per sweep level by level, so the mass is
+    acc + C[low] v + D[low] with C, D the prefix sums of P, Q.  Sorted G
+    indices thus cost about max(N - 2 log2 G + 2, 0) big-integer steps each
+    plus that one read, over a table of about G/2 entries; k = 0 is the
+    plain descent.  Past 2^(N/2+1) indices consecutive ones share their
+    high digits anyway, so k stops at ceil(N/2): the table and the high
+    nodes then number about 2^(N/2) each, not G/2 table entries.
 
     The block under the left child of a node where f = v, c digits deep,
-    sums to _block_sum(p, a0 v + b0, c), affine in v: alpha_c v + beta_c,
-    read off _block_sum at v = 0 and v = 1 once per sweep.
+    sums to _block_sum(p, a0 v + b0, c), affine in v: alpha_c v + beta_c
+    with alpha_c = a0 A^c and beta_c = S(c) from S(0) = b0, S(c) = A S(c-1)
+    + b 2^(c-1), the recursion that _block_sum closes, run once per sweep.
     """
     p = comb.params
     a0, b0, a1, b1 = p.a0, p.b0, p.a1, p.b1
-    beta = [_block_sum(p, b0, c) for c in range(comb.level)]
-    alpha = [_block_sum(p, a0 + b0, c) - b for c, b in enumerate(beta)]
-    # (v, acc) before digit d of the previous index, for every d.
-    vs, accs = [0] * comb.level, [0] * comb.level
-    v, acc, top = p.f1, 0, comb.level - 1
+    k = max(min(len(idxs).bit_length() - 2, (comb.level + 1) // 2), 0)
+    high = comb.level - k
+    alpha, beta = [], []
+    slope, const = a0, b0
+    for c in range(comb.level):
+        if c >= k:
+            alpha.append(slope)
+            beta.append(const)
+        slope, const = p.a * slope, p.a * const + (p.b << c)
+    # P and Q level by level, then their prefix sums in their place, so at
+    # most two tables of 2^k entries are held once the sweep runs.
+    C, D = [1], [0]
+    for _ in range(k):
+        C = [a * x for x in C for a in (a0, a1)]
+        D = [a * x + b for x in D for a, b in ((a0, b0), (a1, b1))]
+    C, D = list(accumulate(C)), list(accumulate(D))
+    # (v, acc) before high digit d of the previous index, for every d.
+    vs, accs = [0] * high, [0] * high
+    v, acc, top = p.f1, 0, high - 1
+    low_mask = (1 << k) - 1
     out: list[int] = []
-    prev = mass = None
+    prev = None
     for idx in idxs:
-        if idx != prev:
+        h = idx >> k
+        if h != prev:
             if prev is not None:
-                top = (prev ^ idx).bit_length() - 1
+                top = (prev ^ h).bit_length() - 1
                 v, acc = vs[top], accs[top]
             for d in range(top, -1, -1):
                 vs[d], accs[d] = v, acc
-                if idx >> d & 1:
+                if h >> d & 1:
                     acc += alpha[d] * v + beta[d]
                     v = a1 * v + b1
                 else:
                     v = a0 * v + b0
-            mass, prev = acc + v, idx
-        out.append(mass)
+            prev = h
+        low = idx & low_mask
+        out.append(acc + C[low] * v + D[low])
     return out
 
 

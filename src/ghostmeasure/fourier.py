@@ -322,9 +322,11 @@ def _product_depths(params: AffineParams, tabs: np.ndarray, v2: np.ndarray, tol:
     if depth.max() > 1023:
         raise DomainError(_DEPTH_RANGE)
     tail = amax * TAU * tabs / (a * np.ldexp(1.0, depth))
-    # math.expm1 per element: np.expm1 differs from it in the last bit for
-    # some arguments, which would change the printed bounds.
-    return depth, np.array([math.expm1(x) for x in tail.tolist()])
+    # math.expm1 once per distinct argument (t and 2^a t at one key share
+    # theirs bit for bit): np.expm1 differs from it in the last bit for some
+    # arguments, which would change the printed bounds.
+    args, where = np.unique(tail, return_inverse=True)
+    return depth, np.array([math.expm1(x) for x in args.tolist()])[where]
 
 
 def _normaliser(value: Fraction) -> float:

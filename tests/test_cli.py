@@ -226,6 +226,7 @@ EXACT_ARGVS = [
     ["eval", "--catalog", "gould_G", "--n", "7"],
     ["classify", "--params", "3", "0", "0", "1", "1"],
     ["cdf", "--catalog", "ruler_R", "--N", "10", "--grid", "64"],
+    ["cdf", "--catalog", "identity", "--N", "22", "--grid", "1024"],
     ["interval", "--params", "2", "2", "0", "1", "1", "--bits", "01"],
     ["interval", "--params", "2", "2", "0", "1", "1", "--bits", "01", "--N", "8"],
     ["density", "--params", "2", "2", "0", "1", "1", "--bits", "0110"],

@@ -181,27 +181,52 @@ def mass_through_oracle(comb, idx: int) -> int:
     return acc + v
 
 
+def grid_indices(level: int, grid: int) -> list[int]:
+    """The atom indices of a grid of `grid` equally spaced points, as cdf_series reads them."""
+    size = 1 << level
+    return [min(k * size // (grid - 1), size - 1) for k in range(grid)]
+
+
 @st.composite
 def comb_indices(draw):
-    """(params, level, idxs): A = 0, 1, 2 and above, levels 0..10; the indices
-    of a grid (up to 2^N + 9 points, so repeats, ending at the clamp to
-    2^N - 1) or a list drawn with repeats, sorted or not."""
+    """(params, level, idxs): A = 0, 1, 2 and above, levels 0..14; the indices
+    of a grid (2 to 2^N + 10 points, so repeats, ending at the clamp to
+    2^N - 1) or a list drawn with repeats, either one as drawn, sorted or
+    shuffled.  G indices split at k = min(log2 G - 1, ceil(N/2)) low
+    digits, so grids and lists run the high-digit descent, the low-digit
+    table or both."""
     p = draw(st.one_of(affine_params(), st.just(AffineParams(2**80, 2**80 - 1, 0, 1, 1))))
-    level = draw(st.integers(0, 10))
-    size = 1 << level
+    level = draw(st.integers(0, 14))
     if draw(st.booleans()):
-        grid = draw(st.integers(2, size + 10))
-        return p, level, [min(k * size // (grid - 1), size - 1) for k in range(grid)]
-    idxs = draw(st.lists(st.integers(0, size - 1), max_size=40))
-    return p, level, sorted(idxs) if draw(st.booleans()) else idxs
+        idxs = grid_indices(level, draw(st.integers(2, (1 << level) + 10)))
+    else:
+        idxs = draw(st.lists(st.integers(0, (1 << level) - 1), max_size=80))
+    order = draw(st.sampled_from(["as drawn", "sorted", "shuffled"]))
+    if order == "sorted":
+        idxs.sort()
+    elif order == "shuffled":
+        draw(st.randoms(use_true_random=False)).shuffle(idxs)
+    return p, level, idxs
 
 
 @PROPERTY
 @given(comb_indices())
-@example((AffineParams(2**80, 2**80 - 1, 0, 1, 1), 10, [min(k * 1024 // 1029, 1023) for k in range(1030)]))
+@example((AffineParams(2**80, 2**80 - 1, 0, 1, 1), 10, grid_indices(10, 1030)))
 @example((AffineParams(0, 0, 1, 1, 1), 0, [0, 0, 0]))
 @example((AffineParams(1, 0, 0, 1, 1), 3, [0, 3, 3, 4, 7, 7]))
 @example((AffineParams(6, 9, 1, 2, 1), 4, [9, 3, 15, 0, 9, 8]))
+# k = 0 (three indices) at level 14 with 2^80 coefficients, and with A = 0.
+@example((AffineParams(2**80, 3, 2**80, 0, 1), 14, [16383, 5, 8192]))
+@example((AffineParams(0, 0, 2, 1, 3), 14, [7, 16383, 0]))
+# 0 < k < N: a grid of 100 points (k = 5) with A = 0, a reversed one with
+# 2^80 (k = 7), and a dense grid (k = ceil(N/2) = 7) with shuffled indices.
+@example((AffineParams(0, 0, 2, 1, 3), 12, grid_indices(12, 100)))
+@example((AffineParams(2**80, 2**80 - 1, 0, 1, 1), 13, grid_indices(13, 300)[::-1]))
+@example((AffineParams(6, 9, 1, 2, 1), 13, [(4097 * k) % 8192 for k in range(8192 + 10)]))
+# k = N, which ceil(N/2) allows at N <= 1: with A = 0, and with 2^80
+# coefficients and enough indices (9) that log2 G - 1 alone would exceed N.
+@example((AffineParams(0, 0, 1, 0, 4), 1, [1, 0, 1, 1, 0]))
+@example((AffineParams(2**80, 2**80 - 1, 0, 1, 1), 1, [0, 1, 1, 0, 0, 1, 1, 0, 1]))
 def test_shared_descent_matches_prefix_sums(case):
     p, level, idxs = case
     assume(big_sigma(p, level) > 0)  # no comb has total 0

@@ -1,0 +1,164 @@
+"""Byte check of two source trees: every output of a fixed list of CLI runs.
+
+    python3 tools/byte_sweep.py OLD_SRC NEW_SRC
+    python3 tools/byte_sweep.py OLD_SRC NEW_SRC --argvs runs.json
+
+OLD_SRC and NEW_SRC are `src/` directories, each holding a `ghostmeasure`
+package (say, one from `git archive` of the parent commit and the working
+tree's).  Each tree runs every argv in its own subprocess with only that
+tree on PYTHONPATH, through ghostmeasure.cli.main in process, and reports a
+sha256 of the run's stdout, stderr, exit code and `--out` file.  An argv
+that names `--out` writes into the worker's temporary directory instead.  An
+exception that escapes main counts as exit 1 with `Type: message` as its
+stderr, so no traceback path differs between the trees.
+
+The fixed list holds the README's CLI examples and a sweep of `cdf`,
+`fourier`, `wiener` and `density` runs in CSV and JSON, domain and cap
+errors included; `--argvs` replaces it with a JSON list of argv lists.
+Every mismatch is printed with its argv and the parts that differ; the
+exit code is 1 on any mismatch, 0 otherwise.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+WORKER = r"""
+import contextlib, hashlib, io, json, os, sys, tempfile
+from ghostmeasure import cli
+
+def digest(data):
+    return hashlib.sha256(data).hexdigest()
+
+results = []
+with tempfile.TemporaryDirectory() as tmp:
+    target = os.path.join(tmp, "out")
+    for argv in json.load(sys.stdin):
+        if "--out" in argv:
+            argv = list(argv)
+            argv[argv.index("--out") + 1] = target
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:
+                code = 1
+                print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        written = None
+        if os.path.exists(target):
+            with open(target, "rb") as fh:
+                written = digest(fh.read())
+            os.unlink(target)
+        results.append({"stdout": digest(out.getvalue().encode()),
+                        "stderr": digest(err.getvalue().encode()),
+                        "exit": code, "out": written})
+json.dump(results, sys.stdout)
+"""
+
+BIG = str(2**80)
+BIG_1 = str(2**80 - 1)
+
+README = [
+    ["eval", "--catalog", "gould_G", "--n", "7"],
+    ["eval", "--params", "2", "2", "0", "1", "1", "--region", "3"],
+    ["classify", "--catalog", "gould_G"],
+    ["classify", "--params", "3", "0", "0", "1", "1"],
+    ["cdf", "--catalog", "ruler_R", "--N", "14", "--grid", "2048", "--out", "cdf.csv"],
+    ["fourier", "--catalog", "gould_G", "--t", "1..64", "--mode", "limit"],
+    ["fourier", "--params", "2", "2", "0", "1", "1", "--t", "1..32", "--mode", "direct", "--N", "12"],
+    ["fourier", "--catalog", "gould_G", "--t=-4,-2,7"],
+    ["wiener", "--params", "1", "2", "0", "0", "1", "--n-max", "12"],
+    ["density", "--params", "2", "2", "0", "1", "1", "--grid", "1024", "--depth", "40"],
+    ["interval", "--params", "2", "2", "0", "1", "1", "--bits", "1"],
+    ["points", "--params", "3", "0", "0", "1", "1", "--nmax", "10"],
+    ["jsr-table", "--sweep", "5"],
+]
+
+# Parameter sets: catalog names and inline A0 A1 b0 b1 f1, with A = 0 and
+# 2^80-sized coefficients.
+CDF_PARAMS = [
+    ["--catalog", "identity"], ["--catalog", "ruler_R"], ["--catalog", "gould_G"],
+    ["--catalog", "cantor"], ["--catalog", "constant"],
+    ["--params", "1", "2", "0", "1", "1"], ["--params", "6", "9", "1", "2", "1"],
+    ["--params", "0", "0", "2", "1", "3"], ["--params", "0", "3", "1", "0", "1"],
+    ["--params", BIG, BIG_1, "0", "1", "1"], ["--params", BIG, BIG, "0", "0", "1"],
+]
+FOURIER_PARAMS = [
+    ["--catalog", "gould_G"], ["--catalog", "cantor"], ["--catalog", "identity"],
+    ["--params", "1", "2", "0", "1", "1"], ["--params", "3", "0", "0", "1", "1"],
+    ["--params", BIG, BIG_1, "0", "1", "1"],
+]
+FORMATS = [[], ["--format", "json"]]
+
+
+def sweep() -> list[list[str]]:
+    """The README examples, then the cdf, fourier, wiener and density runs."""
+    runs = list(README)
+    for params in CDF_PARAMS:
+        for level in (0, 1, 2, 3, 5, 8, 12, 17, 22):
+            grids = [2, 3, 7, 1024] + ([(1 << level) + 10] if level <= 12 else [])
+            for grid in grids:
+                for fmt in FORMATS:
+                    runs.append(["cdf", *params, "--N", str(level), "--grid", str(grid), *fmt])
+        runs.append(["cdf", *params, "--N", "5", "--grid", "1"])
+    runs.append(["cdf", "--catalog", "identity", "--N", "30", "--grid", "8"])
+    runs.append(["cdf", "--catalog", "identity", "--N", "-1", "--grid", "8"])
+    for params in FOURIER_PARAMS:
+        for fmt in FORMATS:
+            runs.append(["fourier", *params, "--t", "1..64", "--mode", "limit", *fmt])
+            runs.append(["fourier", *params, f"--t=-300,-7,0,5,{2**63 + 1},{3 * 2**64 + 3}",
+                         "--mode", "limit", "--tol", "1e-3", *fmt])
+            runs.append(["fourier", *params, "--t", "1..48", "--mode", "recursive", "--N", "40", *fmt])
+            runs.append(["fourier", *params, "--t", "0..40", "--mode", "direct", "--N", "8", *fmt])
+            runs.append(["wiener", *params, "--n-max", "8", *fmt])
+    for params in (["--catalog", "cantor"], ["--params", "2", "2", "0", "1", "1"],
+                   ["--catalog", "gould_G"]):
+        for fmt in FORMATS:
+            runs.append(["density", *params, "--grid", "64", "--depth", "10", *fmt])
+            runs.append(["density", *params, "--grid", "256", "--depth", "64", *fmt])
+        runs.append(["density", *params, "--bits", "0110"])
+    return runs
+
+
+def run_tree(src: Path, argvs: list[list[str]]) -> list[dict]:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", WORKER], input=json.dumps(argvs), env=env,
+                          capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit(f"worker for {src} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("old", type=Path, help="src/ directory of the reference tree")
+    ap.add_argument("new", type=Path, help="src/ directory of the tree under test")
+    ap.add_argument("--argvs", type=Path, help="JSON list of argv lists to run instead")
+    args = ap.parse_args(argv)
+    for src in (args.old, args.new):
+        if not (src / "ghostmeasure" / "cli.py").is_file():
+            ap.error(f"{src} holds no ghostmeasure/cli.py")
+    argvs = json.loads(args.argvs.read_text()) if args.argvs else sweep()
+    with ThreadPoolExecutor(2) as pool:
+        old, new = pool.map(lambda src: run_tree(src.resolve(), argvs), (args.old, args.new))
+    mismatches = 0
+    for argv, a, b in zip(argvs, old, new):
+        parts = [k for k in a if a[k] != b[k]]
+        if parts:
+            mismatches += 1
+            print(f"MISMATCH {' '.join(argv)}: {', '.join(parts)}"
+                  + (f" (exit {a['exit']} -> {b['exit']})" if "exit" in parts else ""))
+    print(f"{len(argvs)} runs, {mismatches} mismatches")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
