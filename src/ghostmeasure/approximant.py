@@ -322,6 +322,6 @@ def interval_mass(comb: Approximant, interval: DyadicInterval) -> Fraction:
     """
     i = interval.depth
     if comb.level < i:
-        raise DomainError(f"comb level {comb.level} is finer than required; need level >= {i}")
+        raise DomainError(f"comb level {comb.level} is coarser than the interval; need level >= {i}")
     top = eval_f(comb.params, (1 << i) | interval.index)
     return Fraction(_block_sum(comb.params, top, comb.level - i), comb.total)

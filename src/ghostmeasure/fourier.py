@@ -33,13 +33,15 @@ coeff_table, in split real/imaginary float64 arrays with exactly the
 operations of CPython's complex arithmetic, so every value is bit-identical
 to the scalar formula for that t alone.  w_n depends on t only through
 t mod 2^n: for t = 2^a b with b odd, w_n(t) = w_{n-a}(b) for n > a+1, and
-the phase is exactly -1 at n = a+1 and exactly 1 below.  So the product
-runs once per distinct key (b, D - a), D the product depth of t: the keys
-are sorted by depth into fixed-size blocks, and each block runs the bare
-suffix products of its b from level D - a down to level 2.  Each t then
-finishes its own last min(a+1, D) levels from the two constant phases,
-with no trig.  These are the levels n <= a+1 where the indicator
-1{2^(n-1) | t} is 1, so the indicator sum is added there and nowhere else.
+the phase is exactly -1 at n = a+1 and exactly 1 below.  One per-level
+loop, _kernel, carries a depth-sorted block's products down to a bottom
+level, fed by one of two phase sources, and runs twice.  The keyed pass
+runs the bare suffix products once per distinct key (b, D - a), D the
+product depth of t, from level D - a down to level 2, with the trig
+phases of _phases.  The per-t pass takes each t on from its key's product
+through its last min(a+1, D) levels down to level 1, with the exact signs
+-1 and 1 and no trig.  These are the levels n <= a+1 where the indicator
+1{2^(n-1) | t} is 1, so that pass alone adds the indicator sum.
 The phases e^{-2 pi i b/2^n} of a block of keys come from one source,
 _phases, which serves only odd b at levels n >= 2.  At n = 2 an odd b is a
 quarter point, and the phase is exactly -i or +i by b mod 4; at n >= 3 no
@@ -238,54 +240,29 @@ def _factor(c: _Floats, er, ei):
     return _div(c.a0 + ur, 0.0 + ui, c.a)
 
 
-def _kernel(c: _Floats, phase, depth: np.ndarray):
-    """Bare suffix products prod_{n=2..depth} w_n of one block of keys sorted
-    by decreasing depth (every depth >= 2), as (re, im).
+def _kernel(c: _Floats, phase, depth: np.ndarray, bottom: int, sr: np.ndarray,
+            si: np.ndarray, norm: Optional[float] = None):
+    """Carry the products (sr, si) of one block sorted by decreasing depth down
+    through levels n = depth..bottom, in place, and return them as (re, im).
 
-    The products run from n = depth down to 2, where e_n = phase(n, m), the
-    block's _phases at level n, for the m keys whose depth is at least n.
-    Level 1 and the indicator sum are left to _finish.
+    At level n the m entries whose depth is at least n take the factor w_n
+    at the phases e_n = phase(n, m).  With norm given, every level run is
+    one where the indicator 1{2^(n-1) | t} is 1, and the result is
+    (f1 P_0 + sum_n 2^(n-1) (b0 + b1 e_n)/A^n P_n)/norm, summed in
+    increasing n, where P_n is the product before level n's factor.
     """
     np = numpy()
-    top = int(depth[0])
-    active = np.searchsorted(-depth, -np.arange(top, 1, -1), side="right").tolist()
-    sr, si = np.ones(len(depth)), np.zeros(len(depth))
-    for n, m in zip(range(top, 1, -1), active):
-        wr, wi = _factor(c, *phase(n, m))
-        sr[:m], si[:m] = _mul(wr, wi, sr[:m], si[:m])
-    return sr, si
-
-
-def _finish(c: _Floats, v2: np.ndarray, last: np.ndarray, sr: np.ndarray,
-            si: np.ndarray, norm: Optional[float]):
-    """Coefficients of one block of t sorted by decreasing last = min(v2 + 1, D),
-    from the suffix products P_last in (sr, si), as (re, im).
-
-    Levels n = last..1 have the constant phases e_n = -1 at n = v2 + 1 and 1
-    below, so their factors come from one evaluation at each of the two
-    phases, with no trig.  With norm None the result is the bare product
-    P_0; otherwise every one of these levels is n <= v2 + 1, where the
-    indicator 1{2^(n-1) | t} is 1, and the result is
-    (f1 P_0 + sum_{n=1..last} 2^(n-1) (b0 + b1 e_n)/A^n P_n)/norm,
-    summed in increasing n.
-    """
-    np = numpy()
-    top = int(last[0])
-    active = np.searchsorted(-last, -np.arange(top, 0, -1), side="right").tolist()
-    er, ei = np.array([1.0, -1.0]), np.zeros(2)
-    w = _factor(c, er, ei)
-    ur, ui = _mul(c.b1, 0.0, er, ei)
+    levels = range(int(depth[0]), bottom - 1, -1)
+    active = np.searchsorted(-depth, -np.array(levels), side="right").tolist()
     terms = []
-    for n, m in zip(range(top, 0, -1), active):
-        minus = v2[:m] == n - 1
+    for n, m in zip(levels, active):
+        er, ei = phase(n, m)
         p_re, p_im = sr[:m], si[:m]
         if norm is not None:
             two, apow = c.scales[n - 1]
-            coef = _div(*_mul(two, 0.0, c.b0 + ur, 0.0 + ui), apow)
-            cr, ci = (np.where(minus, x[1], x[0]) for x in coef)
-            terms.append(_mul(cr, ci, p_re, p_im))
-        wr, wi = (np.where(minus, x[1], x[0]) for x in w)
-        sr[:m], si[:m] = _mul(wr, wi, p_re, p_im)
+            ur, ui = _mul(c.b1, 0.0, er, ei)
+            terms.append(_mul(*_div(*_mul(two, 0.0, c.b0 + ur, 0.0 + ui), apow), p_re, p_im))
+        sr[:m], si[:m] = _mul(*_factor(c, er, ei), p_re, p_im)
     if norm is None:
         return sr, si
     acc_r, acc_i = _mul(c.f1, 0.0, sr, si)
@@ -342,12 +319,13 @@ def coeff_table(params: AffineParams, ts: Iterable[int], tol: float = 1e-12,
 
     One batched pass over the nonzero t, of any size or sign: the product
     runs once per distinct key (odd part b, depth D - v2(t)), keys sorted by
-    depth into blocks of _BLOCK through one split re/im kernel fed by one
-    phase source (_phases), and each t finishes its last min(v2(t) + 1, D)
-    levels, with the indicator sum, in _finish.  Every value is
-    bit-identical to the scalar complex formula of coeff_limit or
-    coeff_recursive for that t alone.  tail_bound covers the truncation of
-    the infinite product only, not floating-point rounding.
+    depth into blocks of _BLOCK, and then each t runs its last
+    min(v2(t) + 1, D) levels with the indicator sum, both passes through one
+    split re/im kernel with the trig phases of _phases or the exact signs
+    of the last levels.  Every value is bit-identical to the scalar complex
+    formula of coeff_limit or coeff_recursive for that t alone.  tail_bound
+    covers the truncation of the infinite product only, not floating-point
+    rounding.
     """
     np = numpy()
     ts = list(ts)
@@ -405,9 +383,11 @@ def _evaluate(params, tn, d, v2, norm):
 
     The product of levels v2+2..d of t = 2^v2 b is that of levels 2..d-v2
     of b, so the kernel runs once per distinct key (b, d - v2) with
-    d - v2 >= 2, and _phases sees only odd b at levels n >= 2, in the array
-    held here; _finish then takes each t from its key's product, or from 1
-    without a key, through its last min(v2 + 1, d) levels.
+    d - v2 >= 2 down to level 2, and _phases sees only odd b at levels
+    n >= 2, in the array held here.  The kernel then takes each t from its
+    key's product, or from 1 without a key, through its last
+    min(v2 + 1, d) levels down to level 1, at the phase -1 at n = v2 + 1
+    and 1 below.
     """
     np = numpy()
     last = np.minimum(v2 + 1, d)
@@ -430,17 +410,18 @@ def _evaluate(params, tn, d, v2, norm):
     slot = np.empty(order.size, dtype=np.int64)
     slot[order] = np.cumsum(new) - 1
     odd, kdepth = odd[new], kdepth[new]
-    pr, pi = np.empty(odd.size), np.empty(odd.size)
+    pr, pi = np.ones(odd.size), np.zeros(odd.size)
     for lo in range(0, odd.size, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
-        pr[blk], pi[blk] = _kernel(c, _phases(odd[blk]), kdepth[blk])
+        _kernel(c, _phases(odd[blk]), kdepth[blk], 2, pr[blk], pi[blk])
     sr, si = np.ones(d.size), np.zeros(d.size)
     sr[keyed], si[keyed] = pr[slot], pi[slot]
     re, im = np.empty(d.size), np.empty(d.size)
     order = np.argsort(-last, kind="stable")
     for lo in range(0, order.size, _BLOCK):
         blk = order[lo:lo + _BLOCK]
-        re[blk], im[blk] = _finish(c, v2[blk], last[blk], sr[blk], si[blk], norm)
+        signs = lambda n, m, v=v2[blk]: (np.where(v[:m] == n - 1, -1.0, 1.0), np.zeros(m))
+        re[blk], im[blk] = _kernel(c, signs, last[blk], 1, sr[blk], si[blk], norm)
     return re, im
 
 

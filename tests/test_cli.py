@@ -349,6 +349,12 @@ def test_interval_exact_output(capsys):
     assert code == 0 and out.startswith("mu_14(")
 
 
+def test_interval_coarser_comb_exit_code(capsys):
+    code, out, err = run_cli(capsys, "interval", "--catalog", "identity", "--bits", "0101", "--N", "2")
+    assert code == 2 and out == ""
+    assert err == "domain error: comb level 2 is coarser than the interval; need level >= 4\n"
+
+
 def test_malformed_bits_and_t_exit_code(capsys):
     for bits in ("012", "0x1", "01 0", "0\u06611"):  # U+0661 is a non-ASCII digit one
         code, _, err = run_cli(capsys, "interval", "--params", "2", "2", "0", "1", "1",

@@ -14,7 +14,8 @@ stderr, so no traceback path differs between the trees.
 
 The fixed list holds the README's CLI examples and a sweep of `cdf`,
 `fourier`, `wiener` and `density` runs in CSV and JSON, domain and cap
-errors included; `--argvs` replaces it with a JSON list of argv lists.
+errors included; its `fourier` runs take recursive levels at and below
+v2(t), levels past 63 and 1022, A = 0, tol 1e-20 and even t beyond int64; `--argvs` replaces it with a JSON list of argv lists.
 Every mismatch is printed with its argv and the parts that differ; the
 exit code is 1 on any mismatch, 0 otherwise.  Standard library only.
 """
@@ -97,6 +98,11 @@ FOURIER_PARAMS = [
     ["--params", BIG, BIG_1, "0", "1", "1"],
 ]
 FORMATS = [[], ["--format", "json"]]
+# t whose recursive levels N = 1..3 all lie at or below v2(t), and even t
+# beyond int64.
+MULTIPLES = ",".join(str(t) for t in sorted({8 * k for k in range(-16, 17)}
+                                              | {64 * k for k in range(-16, 17)}))
+BIG_EVEN = f"{2**64},{3 * 2**65},{-(2**70)}"
 
 
 def sweep() -> list[list[str]]:
@@ -119,6 +125,20 @@ def sweep() -> list[list[str]]:
             runs.append(["fourier", *params, "--t", "1..48", "--mode", "recursive", "--N", "40", *fmt])
             runs.append(["fourier", *params, "--t", "0..40", "--mode", "direct", "--N", "8", *fmt])
             runs.append(["wiener", *params, "--n-max", "8", *fmt])
+            for level in ("1", "2", "3"):
+                runs.append(["fourier", *params, f"--t={MULTIPLES}", "--mode", "recursive",
+                             "--N", level, *fmt])
+            for level in ("70", "1100"):
+                runs.append(["fourier", *params, "--t=-64..64", "--mode", "recursive",
+                             "--N", level, *fmt])
+            runs.append(["fourier", *params, "--t=-64..64", "--mode", "limit", "--tol", "1e-20", *fmt])
+            runs.append(["fourier", *params, f"--t={BIG_EVEN}", "--mode", "limit", *fmt])
+            runs.append(["fourier", *params, f"--t={BIG_EVEN}", "--mode", "recursive", "--N", "1100",
+                         *fmt])
+    for fmt in FORMATS:
+        for level in ("1", "2", "3", "70"):
+            runs.append(["fourier", "--params", "0", "0", "2", "1", "3", f"--t={MULTIPLES}",
+                         "--mode", "recursive", "--N", level, *fmt])
     for params in (["--catalog", "cantor"], ["--params", "2", "2", "0", "1", "1"],
                    ["--catalog", "gould_G"]):
         for fmt in FORMATS:
