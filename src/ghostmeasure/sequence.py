@@ -160,13 +160,10 @@ def eval_region(params: AffineParams, level: int) -> list[int]:
 def _block_sum(params: AffineParams, value: int, depth: int) -> int:
     """Sum of f over the 2^depth indices `depth` digits below an index where f = value.
 
-    Iterates S(0) = value, S(c) = A*S(c-1) + b*2^(c-1) in closed form.
+    Iterates S(0) = value, S(c) = A*S(c-1) + b*2^(c-1) in closed form, exact
+    for A = 0 and 1 too (0**0 == 1; the floor division by -2 or -1 is exact).
     """
     a, b, c = params.a, params.b, depth
-    if a == 0:
-        return b << (c - 1) if c else value
-    if a == 1:
-        return value + b * ((1 << c) - 1)
     if a == 2:
         return (value << c) + ((b * c << c) >> 1)
     ac = a**c

@@ -301,12 +301,14 @@ def test_indicator_sum_beyond_double_range_exit_code(capsys):
 
 
 def test_parameter_beyond_double_range_exit_code(capsys):
-    # A0 = A1 = 10^400 has no double: the message names the parameters, not
-    # the product depth or the indicator sum
+    # A0 = A1 = 10^400, or b0 = 10^400 with A = 0, has no double: the message
+    # names the parameters, not the product depth or the indicator sum
     catalog = ["--catalog", f"missing_digit({10**400},1)"]
     for argv in (["fourier", *catalog, "--t", "1"],
                  ["fourier", *catalog, "--mode", "recursive", "--N", "3", "--t", "1"],
-                 ["wiener", *catalog, "--n-max", "2"]):
+                 ["wiener", *catalog, "--n-max", "2"],
+                 ["fourier", "--params", "0", "0", str(10**400), "1", "1", "--mode", "recursive",
+                  "--N", "3", "--t", "1..4"]):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err == "domain error: a parameter (A0, A1, A, b0, b1 or f(1)) leaves the double range\n", argv

@@ -367,6 +367,18 @@ def test_domination_by_homogeneous_product():
             assert mu <= K * cache[b] + 1e-9, (p, t)
 
 
+def test_parameters_beyond_double_range_are_domain_errors():
+    # A0 = 10^400 or b0 = 10^400 has no double: a DomainError, not an
+    # OverflowError, from the closed forms and from the A = 0 recursion
+    big = 10**400
+    for call in (lambda: magnitude_sq_1b(AffineParams(big, 1, 0, 0, 1), 1),
+                 lambda: kappa_1b(AffineParams(big, 1, 0, 0, 1)),
+                 lambda: domination_constant(AffineParams(big, 1, 0, 1, 1)),
+                 lambda: coeff_recursive(AffineParams(0, 0, big, 1, 1), 3, 4)):
+        with pytest.raises(DomainError, match="leaves the double range"):
+            call()
+
+
 def test_2c_bracket_identity():
     # mu^(2^a b) = nu^(2^a b) * bracket(a) / sigma_inf, exactly in structure
     p = AffineParams(1, 2, 1, 0, 1)

@@ -15,7 +15,11 @@ stderr, so no traceback path differs between the trees.
 The fixed list holds the README's CLI examples and a sweep of `cdf`,
 `fourier`, `wiener` and `density` runs in CSV and JSON, domain and cap
 errors included; its `fourier` runs take recursive levels at and below
-v2(t), levels past 63 and 1022, A = 0, tol 1e-20 and even t beyond int64; `--argvs` replaces it with a JSON list of argv lists.
+v2(t), levels past 63 and 1022, A = 0, tol 1e-20, even t beyond int64 and
+the int64 edges -2^63, -(2^63-1) and 2^63-1; `--argvs` replaces it with a
+JSON list of argv lists.  One run, A = 0 with b0 = 10^400 at N = 3, is an
+expected mismatch against a tree whose A = 0 branch converts b0 unguarded:
+exit 1 with `OverflowError` there, exit 2 with the parameter message here.
 Every mismatch is printed with its argv and the parts that differ; the
 exit code is 1 on any mismatch, 0 otherwise.  Standard library only.
 """
@@ -103,6 +107,7 @@ FORMATS = [[], ["--format", "json"]]
 MULTIPLES = ",".join(str(t) for t in sorted({8 * k for k in range(-16, 17)}
                                               | {64 * k for k in range(-16, 17)}))
 BIG_EVEN = f"{2**64},{3 * 2**65},{-(2**70)}"
+INT64_EDGES = f"{-(2**63)},{-(2**63 - 1)},{2**63 - 1}"
 
 
 def sweep() -> list[list[str]]:
@@ -135,10 +140,16 @@ def sweep() -> list[list[str]]:
             runs.append(["fourier", *params, f"--t={BIG_EVEN}", "--mode", "limit", *fmt])
             runs.append(["fourier", *params, f"--t={BIG_EVEN}", "--mode", "recursive", "--N", "1100",
                          *fmt])
+            runs.append(["fourier", *params, f"--t={INT64_EDGES}", "--mode", "limit", *fmt])
+            for level in ("2", "70"):
+                runs.append(["fourier", *params, f"--t={INT64_EDGES}", "--mode", "recursive",
+                             "--N", level, *fmt])
     for fmt in FORMATS:
         for level in ("1", "2", "3", "70"):
             runs.append(["fourier", "--params", "0", "0", "2", "1", "3", f"--t={MULTIPLES}",
                          "--mode", "recursive", "--N", level, *fmt])
+    runs.append(["fourier", "--params", "0", "0", str(10**400), "1", "1", "--mode", "recursive",
+                 "--N", "3", "--t", "1..4"])
     for params in (["--catalog", "cantor"], ["--params", "2", "2", "0", "1", "1"],
                    ["--catalog", "gould_G"]):
         for fmt in FORMATS:
