@@ -13,7 +13,6 @@ and point weights.
 from .approximant import (
     Approximant,
     DyadicInterval,
-    Spectrum,
     build_comb,
     cdf,
     cdf_series,
@@ -28,8 +27,6 @@ from .fourier import (
     coeff_recursive,
     coeff_table,
     coefficient_bracket,
-    direct_fourier,
-    direct_table,
     domination_constant,
     kappa_1b,
     l2_norm_2b,

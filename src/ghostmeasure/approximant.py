@@ -17,14 +17,12 @@ atom's index with a block sum at every 1-digit; a grid of values is one
 sweep (_masses_through) in which each index resumes the descent of the one
 before at the highest digit where the two differ, and reads its low digits
 from one table of the atoms below a node, affine in the node's value.  The
-exact atoms (Approximant.weights) are built only when read, by tests that
-use them as the brute-force oracle.
-Approximant.spectrum is one real FFT of the atoms as doubles, read off the
-one region builder (sequence._region, int64 when the values fit, else
-Python integers), with the a-priori rounding bound derived in Spectrum;
-fourier.direct_table reads every coefficient mu_N^(t) off it.  Only the
-spectrum and the atoms compute with numpy (through _util.numpy), so the
-exact functionals run without loading it.
+exact atoms (Approximant.weights) come from the one region builder,
+sequence._region, and are built only when read, by tests that use them as
+the brute-force oracle.  That build is the module's only numpy use, so the
+exact functionals run without loading numpy.  The comb's Fourier
+coefficients mu_N^(t) come from fourier.coeff_table at level N, which
+builds no atoms.
 
 DyadicInterval names the half-open interval left-closed at its bit prefix:
 bits x1..xi stand for [(0.x1..xi00...)_2, (0.x1..xi11...)_2), of Lebesgue
@@ -34,19 +32,15 @@ i.e. by their terminating bit string.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import DomainError
 from .sequence import AffineParams, _block_sum, _check_level, _region, big_sigma, eval_f
-from ._util import numpy, parse_bits
-
-if TYPE_CHECKING:
-    import numpy as np
+from ._util import parse_bits
 
 
 @dataclass(frozen=True)
@@ -107,105 +101,6 @@ class Approximant:
         """weights[n] = f(2^N + n): all 2^N atoms, built on first read and kept."""
         # build_comb has applied the level cap already.
         return tuple(_region(self.params, self.level).tolist())
-
-    @cached_property
-    def spectrum(self) -> "Spectrum":
-        """One real FFT of the atoms as doubles, built on first read and kept.
-
-        The exact integer atoms (weights) are not built for it.
-        """
-        w, total, shift = _float_weights(self.params, self.level, self.total)
-        bins = numpy().fft.rfft(w)
-        return Spectrum(bins, total, _rounding_bound(self.level, shift, self.total))
-
-
-def _float_weights(params: AffineParams, level: int, total: int) -> tuple[np.ndarray, float, int]:
-    """(atoms, total, s): atoms and total right-shifted by s bits, as doubles.
-
-    s > 0 only when the total is beyond the double range; the common shift
-    keeps the normalised ratios to ~2^-850.  The atoms are the region of
-    sequence._region, int64 or Python integers; each conversion to double
-    is correctly rounded.
-    """
-    shift = max(total.bit_length() - 900, 0)
-    region = _region(params, level)
-    if shift:
-        region = region >> shift
-    return region.astype(numpy().float64), float(total >> shift), shift
-
-
-# Unit roundoff of double, and the error assumed for pocketfft's twiddles
-# (see Spectrum).
-_U = 2.0**-53
-_MU = 9 * _U
-# Higham's per-stage error of a radix-2 butterfly: mu + gamma_4 (sqrt 2 + mu).
-_ETA = _MU + 4 * _U / (1 - 4 * _U) * (math.sqrt(2.0) + _MU)
-
-
-def _rounding_bound(level: int, shift: int, total: int) -> float:
-    """The bound B of Spectrum on |computed - exact| for every t, 0 < t < 2^N."""
-    g = math.expm1(level * math.log1p(_ETA))
-    ratio = (1 + _U) / (1 - _U)  # bounds sum(w^)/total^
-    bound = ((1 + _U) * g + 3 * _U / (1 - _U)) * ratio
-    if shift:
-        bound += math.ldexp((1 << level) + 1, shift - total.bit_length() + 1)
-    # Cover the dozen roundings of evaluating the bound itself.
-    return bound * (1 + 2.0**-40)
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """The level-N comb's coefficients: bins[k] = sum_n w^_n e^{-2 pi i k n/2^N},
-    k = 0..2^(N-1) (numpy.fft.rfft of the double atoms w^), the double total
-    and the rounding bound that covers every coefficient read from them.
-
-    Rounding bound.  With u = 2^-53, L = log2 2^N = N, s the pre-shift of
-    _float_weights (w' = w >> s, T' = T >> s, both integers, sum w' <= T'),
-    w^ = fl(w') and T^ = fl(T') (each within a relative u), the printed
-    value of mu_N^(t) = (sum_n w_n e^{-2 pi i t n/2^N})/T is the bin
-    divided by T^ part by part, and differs from it by at most
-
-        B = ((1+u) g + 3u/(1-u)) * sum(w^)/T^  (+ (2^N + 1) 2^s/T when s > 0),
-        g = (1 + eta)^L - 1,   eta = mu + gamma_4 (sqrt 2 + mu),
-
-    with sum(w^)/T^ <= (1+u)/(1-u), so B depends only on N (and s):
-    about 3.0e-14 at N = 18.  The terms:
-      * FFT (g).  Higham, Accuracy and Stability of Numerical Algorithms,
-        2nd ed., Thm 24.2 in componentwise form: a radix-2 stage is
-        (A_k + dA_k) x with |dA_k| <= eta |A_k| when the computed twiddles
-        are within mu of the exact ones, and |A_L|...|A_1| is the all-ones
-        matrix (one path of unit-modulus factors joins each input to each
-        output), so |computed bin - exact DFT of w^| <= g sum |w^_n|, which
-        is g sum w^_n: the atoms are non-negative.  The normwise form
-        (sqrt(2^N) ||w||_2) would be far looser on a comb with a few heavy
-        atoms.
-      * Conversion (u/(1-u)): |DFT(w^) - DFT(w')| <= u sum w'.
-      * Division (u + u/(1-u) + u g): each part is divided and rounded
-        once, and T^ is within u of T'.
-      * Shift: the dropped low bits of the w and of T, below 2^s each.
-    B is then raised by a relative 2^-40 to cover its own evaluation.
-
-    Assumptions about pocketfft (numpy.fft), which is not the textbook
-    complex radix-2 algorithm:
-      1. Its twiddles are within mu = 9u of the exact roots of unity: each
-         is the product of two table entries, libm cosines and sines of a
-         rounded angle (within 3u each), and the product adds
-         sqrt(2) gamma_2.
-      2. For 2^N real points it runs radix-4 passes and at most one radix-2
-         pass in real arithmetic (FFTPACK's radf4 and radf2).  A radix-4
-         pass multiplies each input by one twiddle and adds four terms in
-         two rounds: no more rounding per output than two radix-2 stages.
-         The real-input passes form each stored output from the same
-         twiddle products and additions as the complex pass they replace,
-         so L = N stages cover them.
-    The bound stands or falls with these; the tests hold every bin to a
-    long-double FFT, and sampled t to a 40-digit DFT and to a compensated
-    direct sum, each within B.
-    """
-
-    bins: np.ndarray
-    total: float
-    bound: float
 
 
 def build_comb(params: AffineParams, level: int) -> Approximant:

@@ -174,10 +174,7 @@ def _cmd_fourier(args, out) -> int:
     ts = _parse_t_spec(args.t)
     if args.mode != "limit" and args.N is None:
         raise DomainError(f"--mode {args.mode} requires --N")
-    if args.mode == "direct":
-        tab = fourier.direct_table(approximant.build_comb(params, args.N), ts)
-    else:
-        tab = fourier.coeff_table(params, ts, args.tol, args.N if args.mode == "recursive" else None)
+    tab = fourier.coeff_table(params, ts, args.tol, None if args.mode == "limit" else args.N)
     cols = [ts, tab.re.tolist(), tab.im.tolist(), tab.abs.tolist(), tab.tail_bound.tolist()]
     _emit(["t", "re", "im", "abs", "tail_bound"], cols, args.format, out)
     return 0
@@ -292,12 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_opts(p)
     p.set_defaults(fn=_cmd_cdf)
 
-    p = sub.add_parser("fourier", help="coefficients: limit, recursion, or comb sum")
+    p = sub.add_parser("fourier", help="coefficients: limit or level-N recursion")
     _add_params_opts(p)
     p.add_argument("--t", required=True,
                    help="e.g. 5 or 1..64 or --t=-4,-2,7 (a value that starts with '-' "
                         "needs the = form)")
-    p.add_argument("--mode", choices=("limit", "recursive", "direct"), default="limit")
+    p.add_argument("--mode", choices=("limit", "recursive", "direct"), default="limit",
+                   help="limit, or the level-N coefficients (recursive; direct is the same table)")
     p.add_argument("--N", type=int, help="level for recursive/direct modes")
     p.add_argument("--tol", type=float, default=1e-12)
     _add_output_opts(p)

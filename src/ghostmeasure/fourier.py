@@ -50,13 +50,14 @@ read off the int64 low = b & (2^63 - 1): low & (2^n - 1) for n <= 63, low
 itself for 64 <= n <= 1022 when b lies in [0, 2^63), and the scalar
 _unit_phase for every other (b, n), so negative and beyond-int64 keys need
 no path of their own.
-In these tables tail_bound covers only the truncation of the product, not
-rounding.  Direct tables (direct_table, and direct_fourier for one t) are
-the one lookup of mu_N^(t) in the comb's real FFT (approximant.Spectrum),
-and their tail_bound is that FFT's rounding bound.  The tables are this
-module's only numpy code, reached through _util.numpy, so the closed forms
-(coeff_limit_2b, magnitude_sq_1b, the 2B and 2C identities) run without
-loading numpy.
+A limit table's tail_bound covers only the truncation of the product, not
+rounding.  A level-N table's tail_bound is one a-priori rounding bound,
+_level_bound(N), for every t != 0 (mod 2^N); where 2^N divides t the
+coefficient is exactly 1 with bound 0, and at N = 0 (mu_0 = delta_0) that
+is every t.  The 2^N atoms of the comb are never built: a comb sum over
+them is the tests' oracle.  The tables are this module's only numpy code,
+reached through _util.numpy, so the closed forms (coeff_limit_2b,
+magnitude_sq_1b, the 2B and 2C identities) run without loading numpy.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Union
 
 from ._util import int_from_env, numpy
-from .approximant import Approximant
 from .errors import DomainError, ResourceCapError
 from .ghost import classify
 from .sequence import AffineParams, sigma_inf, sigma_norm
@@ -140,6 +140,7 @@ _LOW_BITS = (1 << 63) - 1
 _DEPTH_RANGE = "|t|/tol too large: the product depth leaves the double range"
 _PARAM_RANGE = "a parameter (A0, A1, A, b0, b1 or f(1)) leaves the double range"
 _NORM_RANGE = "the normalising sum leaves the double range"
+_SCALE_RANGE = "the indicator sum leaves the double range (2^(n-1)/A^n for n up to v2(t)+1)"
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,9 +149,10 @@ class CoeffTable:
     truncation bound, with the int64 product depth of each t.
 
     Limit tables carry coeff_limit's tail_bound and depth (0 and 0 where no
-    product is truncated); recursive tables carry bound 0 and depth N;
-    direct tables carry the comb spectrum's rounding bound (0 where
-    t = 0 mod 2^N) and depth N.
+    product is truncated).  Level-N tables carry the rounding bound
+    _level_bound(N) and depth N where t != 0 (mod 2^N), bound 0 and depth 0
+    where 2^N divides t (value exactly 1); the A = 0 comb has depth 0
+    throughout.
     """
 
     re: np.ndarray
@@ -161,7 +163,8 @@ class CoeffTable:
 
 
 class _Floats(NamedTuple):
-    """The parameters as doubles, and (2^(n-1), A^n) for n = 1..kmax."""
+    """The parameters as doubles, and (2^(n-1), A^n) for n = 1..kmax, or
+    (2^(n-1)/A^n, 1.0) where either leaves the double range."""
 
     a0: float
     a1: float
@@ -182,11 +185,24 @@ def _doubles(values: Iterable, message: str = _PARAM_RANGE) -> list[float]:
 
 
 def _floats(params: AffineParams, kmax: int) -> _Floats:
-    """DomainError where a value leaves the double range."""
+    """DomainError where a parameter, or a scale 2^(n-1)/A^n, leaves the
+    double range.
+
+    Where 2^(n-1) or A^n has no double, the one correctly rounded scale
+    2^(n-1)/A^n stands for the pair, so the kernel's term is
+    scale (b0 + b1 e_n)/1.0.  The scale is below 1 in limit tables (A >= 3)
+    and at most sigma(N)/b at level N; only b = 0 with A = 1, whose terms
+    are zero, takes it past the double range (n > 1024).
+    """
     values = _doubles((params.a0, params.a1, params.a, params.b0, params.b1, params.f1))
-    scales = _doubles((x for n in range(1, kmax + 1) for x in (1 << (n - 1), params.a**n)),
-                      "the indicator sum leaves the double range (2^(n-1) or A^n for n up to v2(t)+1)")
-    return _Floats(*values, list(zip(scales[::2], scales[1::2])))
+    scales = []
+    for n in range(1, kmax + 1):
+        two, apow = 1 << (n - 1), params.a**n
+        try:
+            scales.append((float(two), float(apow)))
+        except OverflowError:
+            scales.append((*_doubles([Fraction(two, apow)], _SCALE_RANGE), 1.0))
+    return _Floats(*values, scales)
 
 
 def _mul(ar, ai, br, bi):
@@ -278,6 +294,58 @@ def _kernel(c: _Floats, phase, depth: np.ndarray, bottom: int, sr: np.ndarray,
     return _div(acc_r, acc_i, norm)
 
 
+def _level_bound(level: int, norm: float) -> float:
+    """B(N): a bound on |printed - exact mu_N^(t)| for every t != 0 (mod 2^N)
+    of a level-N table whose normaliser rounds to norm.
+
+    After Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    ch. 3 (gamma_k = k u/(1 - k u), u = 2^-53; |fl(xy) - xy| <= sqrt(2)
+    gamma_2 |x||y| for CPython's complex product) and ch. 4 (recursive
+    summation).  Every |w_n| <= 1, so every product P_n of the factors
+    above level n has |P_n| <= 1, and f(1) + sum_{n<=N} 2^(n-1) (b0+b1)/A^n
+    = sigma(N): the indicator terms and their sum stay within sigma.
+      * Phase: the angle TAU * (r 2^-n) < 2 pi carries three relative
+        roundings (TAU, r as a double, the product), so it is within
+        2 pi gamma_3 of the exact angle; numpy's and libm's cos and sin are
+        assumed within 1 ulp, so each part within u (exact |cos|, |sin| < 1).
+        e = 2 pi gamma_3 + sqrt(2) u.  The quarter points and the signs of
+        the last levels are exact.
+      * Factor: (A0 + A1 e_n)/A from rounded A0, A1 and A: within
+        d = e + gamma_5 (1 + e) of w_n.
+      * Products: each level's complex product adds c = d + sqrt(2) gamma_2
+        (1 + d) (plus 2^-1070 for underflow) relative to 1 + error, so every
+        computed P_n is within g = (1 + c)^N - 1 of P_n.
+      * Terms: 2^(n-1) (b0 + b1 e_n)/A^n (or its scale) is within gamma_4
+        of 2^(n-1) b/A^n, and its product with P_n adds u; f(1) P_0 adds
+        gamma_2.  Each is within phi = (1 + g)(1 + gamma_5) - 1 of its
+        share of sigma.
+      * Sum: at most N + 1 terms in increasing n, gamma_N of the sum of
+        their moduli (Minkowski joins the parts): the numerator is within
+        psi = (1 + phi)(1 + gamma_N) - 1 of sigma.
+      * Division: norm is sigma correctly rounded and |mu| <= 1, so the
+        quotient adds u/(1 - u), and rounding it adds u (1 + psi)/(1 - u).
+    Underflow adds at most 2^-1075 per rounding of the numerator, about
+    4N + 4 of them over norm, and 2^-1073 for the quotient.  B is raised by
+    a relative 2^-40 to cover its own evaluation.  The A = 0 comb's value
+    (b0 - b1)/b is within gamma_4 of exact, far inside B(N) with norm = b.
+    B is 4.2e-15 at N = 1, 4.0e-14 at N = 12 and 5.9e-14 at N = 18 (with
+    norm >= 1): about (29 N + 9) u.
+    """
+    u = 2.0**-53
+
+    def gamma(k: int) -> float:
+        return k * u / (1 - k * u)
+
+    phase = TAU * gamma(3) + math.sqrt(2.0) * u
+    factor = phase + gamma(5) * (1 + phase)
+    c = factor + math.sqrt(2.0) * gamma(2) * (1 + factor) + 2.0**-1070
+    g = math.expm1(level * math.log1p(c))
+    phi = (1 + g) * (1 + gamma(5)) - 1
+    psi = (1 + phi) * (1 + gamma(level)) - 1
+    rel = (psi * (1 + u) + 2 * u) / (1 - u)
+    return (rel + math.ldexp(4 * level + 4, -1075) / norm + 2.0**-1073) * (1 + 2.0**-40)
+
+
 def _product_depths(params: AffineParams, tabs: np.ndarray, v2: np.ndarray, tol: float):
     """Depth D and tail bound per t (|t| as float64) with
     sum_{n>D} amax 2 pi |t| / (A 2^n) < min(tol, 1)/2.
@@ -319,40 +387,43 @@ def coeff_table(params: AffineParams, ts: Iterable[int], tol: float = 1e-12,
     min(v2(t) + 1, D) levels with the indicator sum, both passes through one
     split re/im kernel with the trig phases of _phases or the exact signs
     of the last levels.  Every value is bit-identical to the scalar complex
-    formula of coeff_limit or coeff_recursive for that t alone.  tail_bound
-    covers the truncation of the infinite product only, not floating-point
-    rounding.
+    formula of coeff_limit or coeff_recursive for that t alone.  In limit
+    tables tail_bound covers the truncation of the infinite product only,
+    not floating-point rounding; in level-N tables it is the rounding bound
+    _level_bound(N), and mu_N^(t) is exactly 1 with bound 0 where 2^N
+    divides t (every t at N = 0).
     """
     np = numpy()
     ts = list(ts)
     size = len(ts)
     if level is None and not tol > 0:
         raise DomainError("tol must be > 0")
-    if level is not None and level < 1:
-        raise DomainError("level must be >= 1")
+    if level is not None and level < 0:
+        raise DomainError("level must be >= 0")
     if params.is_null_sequence:
         raise DomainError("sequence is identically zero (homogeneous with f(1)=0)")
+    if level == 0 and params.f1 == 0:
+        raise DomainError("the level-0 comb has total f(1) = 0")
     re, im = np.zeros(size), np.zeros(size)
     tail, depth = np.zeros(size), np.zeros(size, dtype=np.int64)
     with np.errstate(all="ignore"):
-        if level is not None and params.a == 0:
-            # The comb alternates b0, b1: (b0 + b1 e^{-2 pi i t/2^N})/b on
-            # 2^(N-1) Z, where the phase is exactly 1 or -1, and 0 elsewhere.
-            step = 1 << (level - 1)
-            b0, b1, b = _doubles((params.b0, params.b1, params.b))
-            plus = (b0 + b1 * complex(1.0, 0.0)) / b
-            minus = (b0 + b1 * complex(-1.0, 0.0)) / b
-            vals = [0j if t % step else minus if (t // step) & 1 else plus for t in ts]
-            re[:] = [v.real for v in vals]
-            im[:] = [v.imag for v in vals]
-            return CoeffTable(re, im, np.hypot(re, im), tail, depth)
         ts = np.array(ts, dtype=object)
-        nonzero = ts != 0
-        re[~nonzero] = 1.0
-        idx = np.flatnonzero(nonzero)
+        run = ts != 0 if level is None else ts % (1 << level) != 0
+        re[~run] = 1.0
+        idx = np.flatnonzero(run)
         # b != 0 with A <= 2: the limit is exactly 0 off t = 0.
         zero_limit = level is None and not params.homogeneous and params.a <= 2
-        if idx.size and not zero_limit:
+        if idx.size and level is not None and params.a == 0:
+            # The comb alternates b0, b1: (b0 + b1 e^{-2 pi i t/2^N})/b on
+            # 2^(N-1) Z, where the phase is exactly -1 off 2^N Z, and 0 elsewhere.
+            step = 1 << (level - 1)
+            b0, b1, b = _doubles((params.b0, params.b1, params.b))
+            minus = (b0 + b1 * complex(-1.0, 0.0)) / b
+            vals = [0j if t % step else minus for t in ts[idx]]
+            re[idx] = [v.real for v in vals]
+            im[idx] = [v.imag for v in vals]
+            tail[idx] = _level_bound(level, b)
+        elif idx.size and not zero_limit:
             tn = ts[idx]
             low = (tn & _LOW_BITS).astype(np.int64)
             # t and low = t mod 2^63 share their 2-adic valuation unless low = 0.
@@ -371,6 +442,8 @@ def coeff_table(params: AffineParams, ts: Iterable[int], tol: float = 1e-12,
                 total = sigma_norm(params, level)
             norm = None if total is None else _doubles([total], _NORM_RANGE)[0]
             re[idx], im[idx] = _evaluate(params, tn, depth[idx], v2, norm)
+            if level is not None:
+                tail[idx] = _level_bound(level, norm)
         return CoeffTable(re, im, np.hypot(re, im), tail, depth)
 
 
@@ -421,35 +494,9 @@ def _evaluate(params, tn, d, v2, norm):
     return re, im
 
 
-def direct_table(comb: Approximant, ts: Iterable[int]) -> CoeffTable:
-    """mu_N^(t) = (1/Sigma(N)) sum_n f(2^N+n) e^{-2 pi i t n/2^N} of a built
-    comb for every t, read off comb.spectrum (one real FFT, built on the
-    first call): with r = t mod 2^N, bin r for r <= 2^(N-1), else the
-    conjugate of bin 2^N - r (the atoms are real), over the total.  r = 0 is
-    exactly 1 with bound 0; every other tail_bound is the spectrum's rounding
-    bound (approximant.Spectrum derives it)."""
-    np = numpy()
-    spec, size = comb.spectrum, 1 << comb.level
-    r = np.array([t % size for t in ts], dtype=np.int64)
-    upper = r > size >> 1
-    z = spec.bins[np.where(upper, size - r, r)]
-    re = z.real / spec.total
-    im = np.where(upper, -z.imag, z.imag) / spec.total
-    zero = r == 0
-    re[zero], im[zero] = 1.0, 0.0
-    return CoeffTable(re, im, np.hypot(re, im), np.where(zero, 0.0, spec.bound),
-                      np.full(r.size, comb.level, dtype=np.int64))
-
-
-def direct_fourier(comb: Approximant, t: int) -> complex:
-    """mu_N^(t) for one t: direct_table's value, within the comb spectrum's
-    rounding bound of the exact value; t = 0 (mod 2^N) gives exactly 1."""
-    tab = direct_table(comb, [t])
-    return complex(float(tab.re[0]), float(tab.im[0]))
-
-
 def coeff_recursive(params: AffineParams, level: int, t: int) -> complex:
-    """mu_N^(t) by the closed recursion at level N (exact finite formula).
+    """mu_N^(t) by the closed recursion at level N (exact finite formula),
+    exactly 1 where 2^N divides t (every t at N = 0).
 
     For A0 + A1 = 0 the comb alternates b0, b1 and the coefficient reduces
     to (b0 + b1 e^{-2 pi i t/2^N})/(b0+b1) on 2^(N-1)Z and 0 elsewhere.

@@ -28,8 +28,8 @@ f(1) + b/(A-2).
 All values are exact: big integers for f and Sigma, Fraction for sigma.
 Every whole region comes from one builder, _region: int64 while the values
 fit, Python integers otherwise.  It is the module's only numpy code, so
-numpy loads on the first region build (eval --region, a comb's atoms or
-its FFT), never for eval_f or the closed forms.
+numpy loads on the first region build (eval --region or a comb's exact
+atoms, the tests' brute-force oracle), never for eval_f or the closed forms.
 """
 
 from __future__ import annotations

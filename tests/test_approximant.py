@@ -1,8 +1,8 @@
-"""Comb construction, the comb spectrum and its region, CDFs and interval masses."""
+"""Comb construction, the comb's coefficients against comb sums, its region,
+CDFs and interval masses."""
 
 import cmath
 import itertools
-import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -19,15 +19,16 @@ from ghostmeasure import (
     catalog_lookup,
     cdf,
     cdf_series,
-    direct_fourier,
-    direct_table,
+    coeff_recursive,
+    coeff_table,
     eval_region,
     interval_mass,
 )
 from ghostmeasure import approximant
-from ghostmeasure.approximant import _float_weights
 from ghostmeasure.cli import main
 from ghostmeasure.sequence import _region
+
+from comb_fft import comb_fft
 
 CATALOG_NAMES = [
     "constant", "identity", "gould_g", "gould_G", "ruler_r",
@@ -70,63 +71,60 @@ def test_comb_rejects_null_sequence():
 
 
 # ----------------------------------------------------------------------
-# direct_fourier
+# The comb's coefficients mu_N^(t) (coeff_recursive) against comb sums
 # ----------------------------------------------------------------------
 
 def test_fourier_normalisation_exact():
     for name in CATALOG_NAMES:
-        comb = build_comb(catalog_lookup(name).params, 6)
-        assert direct_fourier(comb, 0) == 1 + 0j
-        assert direct_fourier(comb, 64) == 1 + 0j  # t = 2^N
+        p = catalog_lookup(name).params
+        assert coeff_recursive(p, 6, 0) == 1 + 0j
+        assert coeff_recursive(p, 6, 64) == 1 + 0j  # t = 2^N
 
 
 def test_fourier_uniform_comb_is_indicator():
-    comb = build_comb(AffineParams(2, 2, 0, 0, 1), 4)
-    assert direct_fourier(comb, 16) == 1 + 0j
-    assert abs(direct_fourier(comb, 5)) <= 1e-12
+    uniform = AffineParams(2, 2, 0, 0, 1)
+    assert coeff_recursive(uniform, 4, 16) == 1 + 0j
+    assert abs(coeff_recursive(uniform, 4, 5)) <= 1e-12
 
 
 def test_fourier_matches_slow_oracle():
     rng = random.Random(7)
     for name in ("identity", "gould_G", "ruler_r", "cantor"):
-        comb = build_comb(catalog_lookup(name).params, 7)
+        p = catalog_lookup(name).params
+        comb = build_comb(p, 7)
         for t in [rng.randrange(-200, 200) for _ in range(12)]:
-            assert abs(direct_fourier(comb, t) - fourier_oracle(comb, t)) < 1e-12
+            assert abs(coeff_recursive(p, 7, t) - fourier_oracle(comb, t)) < 1e-12
 
 
 def test_fourier_hermitian_symmetry():
     for name in ("identity", "gould_G", "ruler_R"):
-        comb = build_comb(catalog_lookup(name).params, 8)
+        p = catalog_lookup(name).params
         for t in range(1, 9):
-            assert abs(direct_fourier(comb, -t) - direct_fourier(comb, t).conjugate()) < 1e-12
+            assert abs(coeff_recursive(p, 8, -t) - coeff_recursive(p, 8, t).conjugate()) < 1e-12
 
 
 def test_fourier_magnitude_bounded():
     for name in CATALOG_NAMES:
-        comb = build_comb(catalog_lookup(name).params, 8)
+        p = catalog_lookup(name).params
         for t in range(-16, 17):
-            assert abs(direct_fourier(comb, t)) <= 1 + 1e-12
+            assert abs(coeff_recursive(p, 8, t)) <= 1 + 1e-12
 
 
 def test_fourier_huge_weights_stay_normalised():
-    # totals beyond the double range force the pre-shift branch
-    comb = build_comb(AffineParams(3, 0, 0, 1, 1), 12)
-    big = build_comb(AffineParams(2**80, 2**80 - 1, 0, 1, 1), 12)
-    assert big.total.bit_length() > 900
-    for c in (comb, big):
-        assert abs(direct_fourier(c, 3)) <= 1 + 1e-12
-        assert direct_fourier(c, 0) == 1 + 0j
-    # shifted sum still matches the uniform-comb structure at a coarse level
-    uni = build_comb(AffineParams(2**80, 2**80, 0, 0, 1), 12)
-    assert abs(direct_fourier(uni, 17)) <= 1e-9
+    # totals beyond the double range: the comb sum pre-shifts its atoms
+    small, big = AffineParams(3, 0, 0, 1, 1), AffineParams(2**80, 2**80 - 1, 0, 1, 1)
+    assert build_comb(big, 12).total.bit_length() > 900
+    for p in (small, big):
+        fft, bound = comb_fft(p, 12)
+        assert abs(coeff_recursive(p, 12, 3)) <= 1 + 1e-12
+        assert abs(coeff_recursive(p, 12, 3) - fft[3]) <= 1e-12
+        assert coeff_recursive(p, 12, 0) == 1 + 0j
+    uni = AffineParams(2**80, 2**80, 0, 0, 1)
+    assert abs(coeff_recursive(uni, 12, 17)) <= 1e-9
 
-
-# ----------------------------------------------------------------------
-# The comb spectrum: long-double FFT, the region and its dtype, memory
-# ----------------------------------------------------------------------
 
 # 1B, 2B, 2C, 2D both ways, values past 2^63 from N = 17 on, Cantor, and a
-# total past 2^900 (pre-shifted atoms).
+# total past 2^900 (pre-shifted atoms in the FFT).
 SPECTRUM_PARAMS = [AffineParams(1, 2, 0, 0, 2), AffineParams(2, 2, 0, 1, 1), AffineParams(1, 2, 0, 1, 1),
                    AffineParams(3, 0, 0, 1, 1), AffineParams(0, 3, 1, 0, 1), AffineParams(6, 9, 1, 2, 1),
                    AffineParams(3, 3, 0, 2, 1), AffineParams(2**80, 2**80 - 1, 0, 1, 1)]
@@ -139,10 +137,9 @@ def longdouble_errors(p, level):
     """(|computed - reference| for t = 0..2^N-1, reported bounds), the reference
     a complex long-double FFT of the exact atoms over the exact total."""
     comb = build_comb(p, level)
-    size = 1 << level
     atoms = np.array(eval_region(p, level), dtype=np.longdouble)
     ref = np.fft.fft(atoms.astype(np.clongdouble)) / np.longdouble(comb.total)
-    tab = direct_table(comb, range(size))
+    tab = coeff_table(p, range(1 << level), level=level)
     re, im, bound = tab.re, tab.im, tab.tail_bound
     assert re[0] == 1 and im[0] == 0 and bound[0] == 0
     return np.abs((re + 1j * im).astype(np.clongdouble) - ref).astype(float), bound
@@ -164,6 +161,17 @@ def test_spectrum_bound_is_not_vacuous():
     ratio = max(b.max() for b in bounds) / max(e.max() for e in errors)
     print(f"largest bound / largest observed error at N = 12: {ratio:.0f}")
     assert ratio <= 1e3
+
+
+@pytest.mark.parametrize("p", SPECTRUM_PARAMS, ids=str)
+def test_level_table_within_bounds_of_comb_fft(p):
+    """Over one full period, the level-N table lies within its own bound plus
+    the FFT's of the comb's FFT (comb_fft); both bounds are a priori."""
+    for level in (0, 1, 5, 12):
+        fft, fft_bound = comb_fft(p, level)
+        tab = coeff_table(p, range(1 << level), level=level)
+        err = np.abs(tab.re + 1j * tab.im - fft)
+        assert (err <= tab.tail_bound + fft_bound).all(), (level, err.max())
 
 
 def max_branch_bound(p, level):
@@ -196,13 +204,9 @@ def test_region_dtype_boundary():
             assert region.dtype == (np.int64 if fits else object), (p, level)
             assert region.tolist() == exact
         # N = 20, int64 for below, Python ints for the others: the exact atoms are
-        # Python ints either way (an int64 sum(w[lo:hi]) would wrap silently),
-        # and the float atoms are correctly rounded.
+        # Python ints either way (an int64 sum(w[lo:hi]) would wrap silently).
         for values in (eval_region(p, 20), build_comb(p, 20).weights):
             assert list(values) == exact and all(type(x) is int for x in values)
-        w, total, shift = _float_weights(p, 20, sum(exact))
-        assert shift == 0 and total == float(sum(exact))
-        assert w.tolist() == [float(x) for x in exact]
     assert _region(below, 20).dtype == np.int64 and _region(below, 20).max() == 2**63 - 1
     assert _region(above, 19).dtype == np.int64 and _region(above, 20).dtype == object
     assert _region(big, 19).dtype == np.int64 and _region(big, 20).dtype == object
@@ -212,26 +216,16 @@ def test_region_dtype_boundary():
         assert eval_region(wide, level) == region_oracle(wide, level)
 
 
-def test_float_weights_pre_shift():
-    p = AffineParams(2**80, 2**80 - 1, 0, 1, 1)
-    comb = build_comb(p, 12)
-    shift = comb.total.bit_length() - 900
-    assert shift > 0
-    w, total, s = _float_weights(p, 12, comb.total)
-    assert s == shift and total == float(comb.total >> shift)
-    assert w.tolist() == [float(x >> shift) for x in comb.weights]
-
-
 def test_direct_table_does_not_keep_exact_atoms():
-    comb = build_comb(AffineParams(1, 2, 0, 1, 1), 18)
+    # a level-N table runs the O(N) product per t and builds no atoms
+    p = AffineParams(1, 2, 0, 1, 1)
     tracemalloc.start()
     try:
-        tab = direct_table(comb, range(1000, 1016))
+        tab = coeff_table(p, range(1000, 1016), level=18)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "weights" not in vars(comb)
-    assert peak < 8 << 20
+    assert peak < 1 << 20
     assert (tab.tail_bound > 0).all() and (tab.abs <= 1).all()
 
 

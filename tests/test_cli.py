@@ -176,18 +176,33 @@ def test_fourier_t_help_example_runs(capsys):
 
 
 def test_fourier_modes_agree(capsys):
-    args = ["--params", "2", "2", "0", "1", "1", "--t=-4,7", "--N", "10"]
+    # direct is the recursive table, byte for byte
+    args = ["--params", "2", "2", "0", "1", "1", "--t=-4,7,1024", "--N", "10"]
     code, out_rec, _ = run_cli(capsys, "fourier", *args, "--mode", "recursive")
     assert code == 0
     code, out_dir, _ = run_cli(capsys, "fourier", *args, "--mode", "direct")
-    assert code == 0
-    _, rec = parse_csv(out_rec)
-    _, direct = parse_csv(out_dir)
-    for r, d in zip(rec, direct):
-        assert abs(float(r[1]) - float(d[1])) <= 1e-10
-        assert abs(float(r[2]) - float(d[2])) <= 1e-10
-        # direct rows carry the FFT's rounding bound, about 1.7e-14 at N = 10
-        assert 1e-15 < float(d[4]) < 1e-13
+    assert code == 0 and out_dir == out_rec
+    _, rows = parse_csv(out_rec)
+    # the level-N rounding bound, about 3.3e-14 at N = 10; t = 2^N is exactly 1
+    assert all(1e-15 < float(r[4]) < 1e-13 for r in rows[:2])
+    assert rows[2][1:] == ["1", "0", "1", "0"]
+
+
+def test_fourier_level_zero_and_levels_past_the_region_cap(capsys):
+    # mu_0 = delta_0 in both modes; Sigma(0) = f(1) = 0 has no comb; a level-N
+    # table builds no atoms, so the region cap does not hold it
+    for mode in ("recursive", "direct"):
+        code, out, _ = run_cli(capsys, "fourier", "--catalog", "gould_G", "--mode", mode, "--N", "0",
+                               "--t=-1..2")
+        assert code == 0 and [r[1:] for r in parse_csv(out)[1]] == [["1", "0", "1", "0"]] * 4
+        code, out, err = run_cli(capsys, "fourier", "--params", "1", "2", "0", "1", "0", "--mode", mode,
+                                 "--N", "0", "--t", "1")
+        assert code == 2 and out == "" and "total f(1) = 0" in err
+        code, out, _ = run_cli(capsys, "fourier", "--params", "1", "2", "0", "1", "1", "--mode", mode,
+                               "--N", "27", "--t", f"1,{2**27}")
+        assert code == 0
+        (_, re, im, mag, bound), last = parse_csv(out)[1]
+        assert 0 < float(mag) <= 1 and 0 < float(bound) < 1e-13 and last[1:] == ["1", "0", "1", "0"]
 
 
 def run_fresh(code, *args):
@@ -201,14 +216,16 @@ def run_fresh(code, *args):
 
 
 def test_import_leaves_numpy_fft_unloaded():
-    # numpy, and with it numpy.fft, loads on first use (_util.numpy); start-up
-    # of a command that never computes with it does not pay for it.
+    # numpy loads on first use (_util.numpy); start-up of a command that never
+    # computes with it does not pay for it.  numpy.fft never loads: see
+    # test_numpy_loads_only_for_the_commands_that_compute_with_it.
     code = "import sys, ghostmeasure.cli; print('numpy.fft' in sys.modules, 'numpy' in sys.modules)"
     assert run_fresh(code).split() == ["False", "False"]
 
 
 # After `import ghostmeasure`, `import ghostmeasure.cli` and each argv in turn,
-# print whether numpy is loaded, with the argv's exit code.
+# print whether numpy is loaded, with the argv's exit code and whether
+# numpy.fft is loaded.
 NUMPY_PROBE = """
 import contextlib, io, json, sys
 import ghostmeasure
@@ -218,7 +235,7 @@ seen.append("numpy" in sys.modules)
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = ghostmeasure.cli.main(argv)
-    seen.append([code, "numpy" in sys.modules])
+    seen.append([code, "numpy" in sys.modules, "numpy.fft" in sys.modules])
 print(json.dumps(seen))
 """
 
@@ -246,9 +263,11 @@ NUMPY_ARGVS = [
 
 def test_numpy_loads_only_for_the_commands_that_compute_with_it():
     seen = json.loads(run_fresh(NUMPY_PROBE, json.dumps(EXACT_ARGVS)))
-    assert seen == [False, False] + [[0, False]] * len(EXACT_ARGVS)
+    assert seen == [False, False] + [[0, False, False]] * len(EXACT_ARGVS)
+    # every command that loads numpy leaves numpy.fft unloaded
     for argv in NUMPY_ARGVS:
-        assert json.loads(run_fresh(NUMPY_PROBE, json.dumps([argv]))) == [False, False, [0, True]], argv
+        seen = json.loads(run_fresh(NUMPY_PROBE, json.dumps([argv])))
+        assert seen == [False, False, [0, True, False]], argv
 
 
 def test_threads_do_not_change_output(capsys):
@@ -291,13 +310,24 @@ def test_fourier_recursive_beyond_double_range_t(capsys):
 
 
 def test_indicator_sum_beyond_double_range_exit_code(capsys):
-    # A^n for n up to v2(t)+1 has no double: a domain error, not an OverflowError
+    # Where A^n or 2^(n-1) has no double, one scale 2^(n-1)/A^n stands for
+    # the pair: every row prints
+    big = ["--params", str(2**80), str(2**80 - 1), "0", "1", "1"]
     for argv in (["--params", "1", "2", "0", "1", "1", "--mode", "recursive", "--N", "1100",
                   "--t", str(2**1000)],
                  ["--params", "3", "5", "1", "1", "1", "--mode", "limit", "--tol", "1e-3",
-                  "--t", str(2**400)]):
+                  "--t", str(2**400)],
+                 [*big, "--mode", "recursive", "--N", "18", "--t", "4096,8192,3"],
+                 [*big, "--mode", "recursive", "--N", "1100", f"--t={2**64},{3 * 2**65},{-(2**70)}"],
+                 [*big, "--mode", "limit", f"--t={2**64},{3 * 2**65},{-(2**70)}"]):
         code, out, err = run_cli(capsys, "fourier", *argv)
-        assert code == 2 and out == "" and "leaves the double range" in err, argv
+        assert code == 0 and err == "", argv
+        assert all(math.isfinite(float(x)) for r in parse_csv(out)[1] for x in r[1:]), argv
+    # Only b = 0 with A = 1 takes the scale itself past the double range
+    # (its terms are zero): a domain error, not an OverflowError
+    code, out, err = run_cli(capsys, "fourier", "--params", "1", "0", "0", "0", "1", "--mode", "recursive",
+                             "--N", "1100", "--t", str(2**1024))
+    assert code == 2 and out == "" and "indicator sum leaves the double range" in err
 
 
 def test_parameter_beyond_double_range_exit_code(capsys):
@@ -308,7 +338,10 @@ def test_parameter_beyond_double_range_exit_code(capsys):
                  ["fourier", *catalog, "--mode", "recursive", "--N", "3", "--t", "1"],
                  ["wiener", *catalog, "--n-max", "2"],
                  ["fourier", "--params", "0", "0", str(10**400), "1", "1", "--mode", "recursive",
-                  "--N", "3", "--t", "1..4"]):
+                  "--N", "3", "--t", "1..4"],
+                 ["fourier", *catalog, "--mode", "direct", "--N", "4", "--t", "1..3"],
+                 ["fourier", "--params", str(10**400), "1", "0", "1", "1", "--mode", "direct",
+                  "--N", "4", "--t", "1..3"]):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err == "domain error: a parameter (A0, A1, A, b0, b1 or f(1)) leaves the double range\n", argv

@@ -1,6 +1,7 @@
 """Coefficient recursion, limit products, 2B closed forms, Wiener averages."""
 
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,14 +13,13 @@ from ghostmeasure import (
     AffineParams,
     DomainError,
     ResourceCapError,
-    build_comb,
+    big_sigma,
     catalog_lookup,
     coeff_limit,
     coeff_limit_2b,
     coeff_recursive,
     coeff_table,
     coefficient_bracket,
-    direct_fourier,
     domination_constant,
     kappa_1b,
     l2_norm_2b,
@@ -30,6 +30,8 @@ from ghostmeasure import (
     wiener_profile,
 )
 from ghostmeasure.fourier import TAU
+
+from comb_fft import comb_fft
 
 CATALOG_NAMES = [
     "constant", "identity", "gould_g", "gould_G", "ruler_r",
@@ -54,10 +56,10 @@ def odd_part(t):
 def test_recursive_matches_direct(name):
     p = catalog_lookup(name).params
     for level in (6, 10):
-        comb = build_comb(p, level)
+        fft, _ = comb_fft(p, level)
         for t in range(-8, 9):
             got = coeff_recursive(p, level, t)
-            want = direct_fourier(comb, t)
+            want = fft[t % (1 << level)]
             assert abs(got - want) <= 1e-10, (name, level, t)
 
 
@@ -76,7 +78,116 @@ def test_recursive_normalisation_and_indicator():
 
 def test_recursive_level_guard():
     with pytest.raises(DomainError):
-        coeff_recursive(IDENTITY, 0, 1)
+        coeff_recursive(IDENTITY, -1, 1)
+    # mu_0 = delta_0: every coefficient is exactly 1, with bound 0
+    tab = coeff_table(IDENTITY, [0, 1, -7, 2**70 + 1], level=0)
+    assert tab.re.tolist() == [1.0] * 4 and tab.im.tolist() == [0.0] * 4
+    assert tab.tail_bound.tolist() == [0.0] * 4
+    for p in (AffineParams(1, 2, 0, 1, 0), AffineParams(0, 0, 1, 2, 0)):
+        with pytest.raises(DomainError, match="total f\\(1\\) = 0"):
+            coeff_table(p, [1], level=0)  # Sigma(0) = f(1) = 0: no comb
+        assert abs(coeff_recursive(p, 1, 1)) <= 1  # Sigma(1) = b0 + b1 > 0
+
+
+SMALL_PARAMS = [AffineParams(*c, 1) for c in itertools.product(range(3), repeat=4) if any(c)]
+
+
+def test_level_tables_are_exactly_one_on_multiples_of_two_to_the_n():
+    # mu_N^(t) = 1 wherever 2^N divides t, printed as exactly 1 with bound 0;
+    # every other t of the table carries the one bound _level_bound(N, norm)
+    entries = [catalog_lookup(name).params for name in CATALOG_NAMES] + SMALL_PARAMS
+    for p in entries:
+        for level in range(1, 30):
+            ts = [1 << level, 3 << level, -(1 << level), 1, (1 << level) + 1]
+            tab = coeff_table(p, ts, level=level)
+            assert tab.re[:3].tolist() == [1.0] * 3 and tab.im[:3].tolist() == [0.0] * 3, (p, level)
+            assert tab.tail_bound[:3].tolist() == [0.0] * 3
+            assert tab.tail_bound[3] == tab.tail_bound[4] > 0
+
+
+def mp_level_coeff(p, level, t):
+    """mu_N^(t) by the closed formula of the fourier module at 50 digits:
+    f(1) P_0 + sum_{2^(n-1) | t} 2^(n-1) (b0 + b1 e_n)/A^n P_n over sigma(N)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        prod, acc = mpmath.mpf(1), mpmath.mpf(0)
+        for n in range(level, 0, -1):
+            e = mpmath.expjpi(-2 * mpmath.mpf(t % (1 << n)) / (1 << n))
+            if t % (1 << (n - 1)) == 0:
+                acc += mpmath.mpf(2)**(n - 1) * (p.b0 + p.b1 * e) / mpmath.mpf(p.a)**n * prod
+            prod *= (p.a0 + p.a1 * e) / p.a
+        acc += p.f1 * prod
+        return acc * mpmath.mpf(p.a)**level / big_sigma(p, level)
+
+
+def test_level_tables_within_bound_of_50_digit_formula():
+    # Levels whose comb no sum could reach, t beyond 2^63, and the 2^80 set
+    # whose A^n leaves the double range from n = 13 on (one scale 2^(n-1)/A^n)
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(23)
+    cases = [(p, level, [rng.randrange(1, 1 << 70) for _ in range(8)]
+              + [rng.randrange(1, 1 << 20) << rng.randrange(0, min(level, 40)) for _ in range(8)])
+             for p in (AffineParams(1, 2, 0, 0, 2), AffineParams(2, 2, 0, 1, 1),
+                       AffineParams(1, 2, 0, 1, 1), AffineParams(6, 9, 1, 2, 1),
+                       AffineParams(2**80, 2**80 - 1, 0, 1, 1))
+             for level in (6, 12, 18, 40, 200)]
+    cases.append((AffineParams(2**80, 2**80 - 1, 0, 1, 1), 18, [4096, 8192, 3]))
+    cases.append((AffineParams(2**80, 2**80 - 1, 0, 1, 1), 1100, [2**64, 3 * 2**65, -(2**70)]))
+    cases.append((AffineParams(1, 2, 0, 1, 1), 1100, [2**1000, 3 * 2**700]))
+    worst = 0.0
+    for p, level, ts in cases:
+        tab = coeff_table(p, ts, level=level)
+        for i, t in enumerate(ts):
+            exact = mp_level_coeff(p, level, t)
+            err = float(abs(mpmath.mpc(tab.re[i], tab.im[i]) - exact))
+            # 1e-40 covers the 50-digit formula's own rounding
+            assert err <= tab.tail_bound[i] + 1e-40, (p, level, t, err, tab.tail_bound[i])
+            worst = max(worst, err / 2.0**-53)
+    print(f"largest error against the 50-digit formula: {worst:.2f} u")
+
+
+def test_trig_within_one_ulp():
+    """The phase assumption of _level_bound: numpy's and libm's cos and sin are
+    within 1 ulp at the angles TAU * (r 2^-n) the kernel forms, r odd."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(11)
+    angles = []
+    for _ in range(3000):
+        n = rng.randint(3, 1022)
+        r = rng.randrange(1, 1 << min(n, 63)) | 1
+        angles.append(TAU * (float(r) * math.ldexp(1.0, -n)))
+    angles += [TAU * (r / 8) for r in (1, 3, 5, 7)] + [TAU * math.ldexp(1.0, -1022)]
+    a = np.array(angles)
+    with mpmath.workprec(200):
+        for x, c, s in zip(angles, np.cos(a).tolist(), np.sin(a).tolist()):
+            exact_c, exact_s = mpmath.cos(x), mpmath.sin(x)
+            for got, exact in ((c, exact_c), (math.cos(x), exact_c), (s, exact_s), (math.sin(x), exact_s)):
+                assert abs(got - exact) <= math.ulp(float(exact)), x
+
+
+def parseval_sum(p, level) -> Fraction:
+    """sum_{t mod 2^N} |mu_N^(t)|^2 = 2^N S2(N)/Sigma(N)^2, exactly, with
+    S2(N) = (A0^2 + A1^2) S2(N-1) + 2 (A0 b0 + A1 b1) Sigma(N-1)
+    + (b0^2 + b1^2) 2^(N-1) the sum of the squared atoms, S2(0) = f(1)^2."""
+    s2 = p.f1**2
+    for n in range(1, level + 1):
+        s2 = ((p.a0**2 + p.a1**2) * s2 + 2 * (p.a0 * p.b0 + p.a1 * p.b1) * big_sigma(p, n - 1)
+              + (p.b0**2 + p.b1**2) * 2**(n - 1))
+    return Fraction(2**level * s2, big_sigma(p, level)**2)
+
+
+@pytest.mark.parametrize("p", [AffineParams(1, 2, 0, 1, 1), AffineParams(6, 9, 1, 2, 1),
+                               AffineParams(2, 2, 0, 1, 1), AffineParams(3, 0, 0, 1, 1),
+                               AffineParams(0, 0, 2, 1, 3)], ids=str)
+def test_full_period_within_summed_bounds_of_parseval(p):
+    # |sum |mu^|^2 - sum |mu|^2| <= sum B (2 |mu^| + B), plus u of the sum
+    # for the rounded squares fsum adds exactly
+    for level in (8, 14, 18):
+        tab = coeff_table(p, range(1 << level), level=level)
+        got = math.fsum(np.concatenate([tab.re**2, tab.im**2]).tolist())
+        b = tab.tail_bound
+        slack = math.fsum((b * (2 * tab.abs + b)).tolist()) + got * 2.0**-52 + 2.0**-1000
+        assert abs(Fraction(got) - parseval_sum(p, level)) <= Fraction(slack * (1 + 2.0**-30)), level
 
 
 # ----------------------------------------------------------------------
@@ -157,7 +268,7 @@ def test_limit_levy_convergence_witness():
     for name in CATALOG_NAMES:
         p = catalog_lookup(name).params
         for t in (1, 7, 32):
-            seq = [direct_fourier(build_comb(p, n), t) for n in range(8, 17)]
+            seq = [comb_fft(p, n)[0][t] for n in range(8, 17)]
             diffs = [abs(b - a) for a, b in zip(seq, seq[1:])]
             assert max(diffs[-3:]) <= max(diffs[:3]) + 1e-12, (name, t)
             dist = abs(seq[-1] - coeff_limit(p, t, 1e-12).value)

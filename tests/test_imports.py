@@ -1,6 +1,7 @@
 """Import lints: every name a module imports is used in it, and numpy is
-imported only by _util.numpy, the accessor that loads it on first use.  A
-trig lint: numpy's cos and sin appear only in fourier._phases, the
+imported only by _util.numpy, the accessor that loads it on first use.  An
+FFT lint: no module imports numpy.fft or reads an `fft` attribute (the
+comb's FFT is a test oracle only).  A trig lint: numpy's cos and sin appear only in fourier._phases, the
 coefficient kernel's one phase source.  A dead-name lint: every module-level
 private name bound in the package is read somewhere in it.
 
@@ -82,6 +83,34 @@ def test_lint_finds_a_numpy_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_numpy_is_imported_only_by_the_accessor(path):
     assert numpy_imports(path.read_text()) == (["numpy"] if path.name == "_util.py" else [])
+
+
+def fft_uses(source: str) -> list[int]:
+    """Line numbers of each import of numpy.fft (or of a name from it) and of
+    each `fft` attribute read (np.fft.rfft, numpy().fft, ...)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        modules = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                   else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+        if any(m == "numpy.fft" or m.startswith("numpy.fft.") for m in modules):
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy" and any(
+                a.name == "fft" for a in node.names):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "fft":
+            found.append(node.lineno)
+    return found
+
+
+def test_lint_finds_numpy_fft():
+    source = ("import numpy.fft\nfrom numpy.fft import rfft\nfrom numpy import fft, pi\n"
+              "def f(x):\n    return numpy().fft.rfft(x)\nfft = 1\nimport numpy\n")
+    assert fft_uses(source) == [1, 2, 3, 5]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_uses_numpy_fft(path):
+    assert fft_uses(path.read_text()) == []
 
 
 def array_trig(source: str) -> list[str]:

@@ -2,8 +2,8 @@
 term-by-term sums, the shared-prefix density grid equals its per-point
 folds, the shared cdf descent equals prefix sums of the atoms, the
 batched coefficient kernel equals the scalar complex
-loops bit for bit, direct-mode coefficients lie within their rounding bound
-of summation oracles, the dyadic and 2D closed forms equal their Fraction
+loops bit for bit, level-N coefficients lie within their rounding bound
+of comb sums, the dyadic and 2D closed forms equal their Fraction
 chains, 2D atoms exhaust the mass, the CLI exit-code contract holds, and
 the row-template table writer prints the bytes of the per-value writer.
 
@@ -38,8 +38,6 @@ from ghostmeasure import (
     coeff_recursive,
     coeff_table,
     density,
-    direct_fourier,
-    direct_table,
     eval_f,
     eval_region,
     eval_via_linrep,
@@ -55,7 +53,7 @@ from ghostmeasure import (
 )
 from ghostmeasure.approximant import _masses_through
 from ghostmeasure.cli import _emit, _fmt, main
-from ghostmeasure.fourier import _BLOCK, TAU, _phases, _unit_phase, _v2
+from ghostmeasure.fourier import _BLOCK, TAU, _level_bound, _phases, _unit_phase, _v2
 from ghostmeasure.ghost import _density_grid
 from ghostmeasure.sequence import _block_sum
 
@@ -656,10 +654,16 @@ def suffix_products(p: AffineParams, t: int, depth: int) -> list[complex]:
 
 
 def indicator_sum(p: AffineParams, t: int, suffix: list[complex], k: int) -> complex:
-    """f(1) P_0 + sum_{n=1..k} 2^(n-1) (b0 + b1 e^{-2 pi i t/2^n}) / A^n * P_n."""
+    """f(1) P_0 + sum_{n=1..k} 2^(n-1) (b0 + b1 e^{-2 pi i t/2^n}) / A^n * P_n;
+    where 2^(n-1) or A^n has no double, one correctly rounded scale
+    2^(n-1)/A^n stands for the pair (over 1)."""
     acc = p.f1 * suffix[0]
     for n in range(1, k + 1):
-        coef = (1 << (n - 1)) * (p.b0 + p.b1 * _unit_phase(t, n)) / p.a**n
+        z = p.b0 + p.b1 * _unit_phase(t, n)
+        try:
+            coef = (1 << (n - 1)) * z / p.a**n
+        except OverflowError:
+            coef = float(Fraction(1 << (n - 1), p.a**n)) * z / 1
         acc += coef * suffix[n]
     return acc
 
@@ -696,25 +700,34 @@ def limit_oracle(p: AffineParams, t: int, tol: float) -> tuple[complex, float, i
 
 
 def recursive_oracle(p: AffineParams, level: int, t: int) -> complex:
-    """mu_N^(t), one t at a time in Python complex arithmetic."""
-    if level < 1:
-        raise DomainError("level must be >= 1")
+    """mu_N^(t), one t at a time in Python complex arithmetic: exactly 1 where
+    2^N divides t (every t at N = 0, unless Sigma(0) = f(1) = 0)."""
+    if level < 0:
+        raise DomainError("level must be >= 0")
     if p.is_null_sequence:
         raise DomainError("null sequence")
+    if level == 0 and p.f1 == 0:
+        raise DomainError("empty level-0 comb")
+    if t % (1 << level) == 0:
+        return complex(1.0)
     if p.a == 0:
         if t % (1 << (level - 1)):
             return complex(0.0)
         return (p.b0 + p.b1 * _unit_phase(t, level)) / p.b
-    if t == 0:
-        return complex(1.0)
     acc = indicator_sum(p, t, suffix_products(p, t, level), min(level, _v2(t) + 1))
     return acc / float(sigma_norm(p, level))
 
 
 def recursive_row(p: AffineParams, level: int, t: int) -> tuple[complex, float, int]:
-    """(value, tail_bound, depth) of a recursive table row: bound 0, depth N
-    where the product runs (A != 0 and t != 0), else 0."""
-    return recursive_oracle(p, level, t), 0.0, level if p.a and t else 0
+    """(value, tail_bound, depth) of a level-N table row: bound 0 and depth 0
+    where 2^N divides t; elsewhere the table's one rounding bound (over the
+    normaliser sigma(N), or b for A = 0) and depth N where the product runs
+    (A != 0), else 0."""
+    value = recursive_oracle(p, level, t)
+    if t % (1 << level) == 0:
+        return value, 0.0, 0
+    norm = float(p.b) if p.a == 0 else float(sigma_norm(p, level))
+    return value, _level_bound(level, norm), level if p.a else 0
 
 
 def wiener_oracle(p: AffineParams, top: int, tol: float) -> list[float]:
@@ -784,8 +797,15 @@ def check_batch(table, oracle, ts) -> None:
         assert_table_matches(table([t for t, _ in kept]), [w for _, w in kept])
 
 
+# A^n past the double range in the indicator sum: one scale 2^(n-1)/A^n.
+GAP_PARAMS = AffineParams(2**80, 2**80 - 1, 0, 1, 1)
+BIG_EVEN = [2**64, 3 * 2**65, -(2**70)]
+
+
 @KERNEL
 @given(kernel_params(), st.lists(KERNEL_T, min_size=1, max_size=6), TOL.map(float))
+@example(GAP_PARAMS, BIG_EVEN, 1e-12)
+@example(AffineParams(3, 5, 1, 1, 1), [2**400, 3], 1e-3)
 def test_limit_kernel_matches_scalar_loops(p, ts, tol):
     check_batch(lambda ts: coeff_table(p, ts, tol), lambda t: limit_oracle(p, t, tol), ts)
     want = oracle_outcome(lambda: limit_oracle(p, ts[0], tol))
@@ -794,7 +814,13 @@ def test_limit_kernel_matches_scalar_loops(p, ts, tol):
 
 
 @PROPERTY
-@given(kernel_params(), st.integers(1, 1100), st.lists(KERNEL_T, min_size=1, max_size=4))
+@given(kernel_params(), st.integers(0, 1100), st.lists(KERNEL_T, min_size=1, max_size=4))
+@example(GAP_PARAMS, 18, [4096, 8192, 3])
+@example(GAP_PARAMS, 1100, BIG_EVEN)
+@example(AffineParams(1, 2, 0, 1, 1), 1100, [2**1000, 3 * 2**700])
+@example(AffineParams(1, 0, 0, 0, 1), 1100, [2**1024, 3])  # b = 0, A = 1: 2^1024 has no double
+@example(AffineParams(1, 2, 0, 1, 0), 0, [1])  # Sigma(0) = f(1) = 0
+@example(AffineParams(0, 0, 2, 1, 3), 3, [0, 4, 8, -4, 12, 1])
 def test_recursive_kernel_matches_scalar_loops(p, level, ts):
     check_batch(lambda ts: coeff_table(p, ts, level=level), lambda t: recursive_row(p, level, t), ts)
     want = oracle_outcome(lambda: recursive_oracle(p, level, ts[0]))
@@ -886,7 +912,7 @@ def test_table_across_blocks_matches_scalar_loops():
     assert len(ts) > 1.5 * len(limit_keys) and len(limit_keys) > _BLOCK
     assert len(ts) > 1.1 * len(recursive_keys) and len(recursive_keys) > _BLOCK
     assert_table_matches(coeff_table(p, ts), [limit_oracle(p, t, 1e-12) for t in ts])
-    want = [(recursive_oracle(p, 70, t), 0.0, 70) for t in ts]
+    want = [recursive_row(p, 70, t) for t in ts]
     assert_table_matches(coeff_table(p, ts, level=70), want)
 
 
@@ -938,7 +964,7 @@ def test_wiener_profile_matches_running_sum(p, top, tol):
 
 
 # ----------------------------------------------------------------------
-# Direct-mode coefficients: the comb spectrum against summation oracles
+# Level-N coefficients against comb sums
 # ----------------------------------------------------------------------
 
 def fsum_direct(comb, t: int) -> complex:
@@ -1002,16 +1028,15 @@ def comb_case(draw):
 
 
 def check_direct_case(case, error) -> None:
-    """direct_table and direct_fourier agree, and error(comb, t, value) <= the
-    reported bound for every t (0 exactly where t = 0 mod 2^N)."""
+    """coeff_table at level N and coeff_recursive agree, and error(comb, t,
+    value) <= the reported bound for every t (0 exactly where t = 0 mod 2^N)."""
     p, level, ts = case
     comb = build_comb(p, level)
-    tab = direct_table(comb, ts)
-    assert list(tab.depth) == [level] * len(ts)
+    tab = coeff_table(p, ts, level=level)
     for i, t in enumerate(ts):
         value = complex(tab.re[i], tab.im[i])
-        assert bits(direct_fourier(comb, t).real) == bits(value.real)
-        assert bits(direct_fourier(comb, t).imag) == bits(value.imag)
+        assert bits(coeff_recursive(p, level, t).real) == bits(value.real)
+        assert bits(coeff_recursive(p, level, t).imag) == bits(value.imag)
         if t % (1 << level) == 0:
             assert value == 1 and tab.tail_bound[i] == 0
         else:

@@ -16,8 +16,11 @@ The fixed list holds the README's CLI examples and a sweep of `cdf`,
 `fourier`, `wiener` and `density` runs in CSV and JSON, domain and cap
 errors included; its `fourier` runs take recursive levels at and below
 v2(t), levels past 63 and 1022, A = 0, tol 1e-20, even t beyond int64 and
-the int64 edges -2^63, -(2^63-1) and 2^63-1; `--argvs` replaces it with a
-JSON list of argv lists.  One run, A = 0 with b0 = 10^400 at N = 3, is an
+the int64 edges -2^63, -(2^63-1) and 2^63-1; its level-N runs take both
+modes (direct is the recursive table) at N = 0 and at N = 27, past the
+region cap, the 2^80 set at N = 18 with v2(t) >= 12 (A^n past the double
+range in the indicator sum) and parameters of 10^400 at N = 4.  `--argvs`
+replaces it with a JSON list of argv lists.  One run, A = 0 with b0 = 10^400 at N = 3, is an
 expected mismatch against a tree whose A = 0 branch converts b0 unguarded:
 exit 1 with `OverflowError` there, exit 2 with the parameter message here.
 Every mismatch is printed with its argv and the parts that differ; the
@@ -150,6 +153,17 @@ def sweep() -> list[list[str]]:
                          "--mode", "recursive", "--N", level, *fmt])
     runs.append(["fourier", "--params", "0", "0", str(10**400), "1", "1", "--mode", "recursive",
                  "--N", "3", "--t", "1..4"])
+    for mode in ("recursive", "direct"):
+        for params in FOURIER_PARAMS:
+            for level in ("0", "27"):
+                runs.append(["fourier", *params, f"--t=-3..8,{2**27}", "--mode", mode, "--N", level])
+        runs.append(["fourier", "--params", "1", "2", "0", "1", "0", "--t", "1", "--mode", mode,
+                     "--N", "0"])
+        for fmt in FORMATS:
+            runs.append(["fourier", "--params", BIG, BIG_1, "0", "1", "1",
+                         "--t=4096,8192,12288,-4096,3", "--mode", mode, "--N", "18", *fmt])
+        runs.append(["fourier", "--params", str(10**400), "1", "0", "1", "1", "--t", "0..3",
+                     "--mode", mode, "--N", "4"])
     for params in (["--catalog", "cantor"], ["--params", "2", "2", "0", "1", "1"],
                    ["--catalog", "gould_G"]):
         for fmt in FORMATS:
