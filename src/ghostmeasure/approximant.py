@@ -16,13 +16,12 @@ is one block sum.  F_N at an atom is one descent of the N digits of the
 atom's index with a block sum at every 1-digit; a grid of values is one
 sweep (_masses_through) in which each index resumes the descent of the one
 before at the highest digit where the two differ, and reads its low digits
-from one table of the atoms below a node, affine in the node's value.  The
-exact atoms (Approximant.weights) come from the one region builder,
-sequence._region, and are built only when read, by tests that use them as
-the brute-force oracle.  That build is the module's only numpy use, so the
-exact functionals run without loading numpy.  The comb's Fourier
-coefficients mu_N^(t) come from fourier.coeff_table at level N, which
-builds no atoms.
+from one table of the atoms below a node, affine in the node's value
+(sequence._subtree).  The exact atoms (Approximant.weights) are region N,
+sequence.eval_region, from the same table; they are built only when read,
+by tests that use them as the brute-force oracle.  The module uses no
+numpy.  The comb's Fourier coefficients mu_N^(t) come from
+fourier.coeff_table at level N, which builds no atoms.
 
 DyadicInterval names the half-open interval left-closed at its bit prefix:
 bits x1..xi stand for [(0.x1..xi00...)_2, (0.x1..xi11...)_2), of Lebesgue
@@ -39,7 +38,7 @@ from itertools import accumulate
 from typing import Sequence, Union
 
 from .errors import DomainError
-from .sequence import AffineParams, _block_sum, _check_level, _region, big_sigma, eval_f
+from .sequence import AffineParams, _block_sum, _check_level, _subtree, big_sigma, eval_f, eval_region
 from ._util import parse_bits
 
 
@@ -99,8 +98,7 @@ class Approximant:
     @cached_property
     def weights(self) -> tuple[int, ...]:
         """weights[n] = f(2^N + n): all 2^N atoms, built on first read and kept."""
-        # build_comb has applied the level cap already.
-        return tuple(_region(self.params, self.level).tolist())
+        return tuple(eval_region(self.params, self.level))
 
 
 def build_comb(params: AffineParams, level: int) -> Approximant:
@@ -130,7 +128,7 @@ def _masses_through(comb: Approximant, idxs: Sequence[int]) -> list[int]:
     before at the highest digit where the two differ (any order is correct;
     a repeated high part costs nothing).  The low digits are one base-2^k
     digit: the 2^k atoms k digits below a node where f = v are
-    P[j] v + Q[j], built once per sweep level by level, so the mass is
+    P[j] v + Q[j] (_subtree, built once per sweep), so the mass is
     acc + C[low] v + D[low] with C, D the prefix sums of P, Q.  Sorted G
     indices thus cost about max(N - 2 log2 G + 2, 0) big-integer steps each
     plus that one read, over a table of about G/2 entries; k = 0 is the
@@ -154,13 +152,7 @@ def _masses_through(comb: Approximant, idxs: Sequence[int]) -> list[int]:
             alpha.append(slope)
             beta.append(const)
         slope, const = p.a * slope, p.a * const + (p.b << c)
-    # P and Q level by level, then their prefix sums in their place, so at
-    # most two tables of 2^k entries are held once the sweep runs.
-    C, D = [1], [0]
-    for _ in range(k):
-        C = [a * x for x in C for a in (a0, a1)]
-        D = [a * x + b for x in D for a, b in ((a0, b0), (a1, b1))]
-    C, D = list(accumulate(C)), list(accumulate(D))
+    C, D = (list(accumulate(t)) for t in _subtree(p, k))
     # (v, acc) before high digit d of the previous index, for every d.
     vs, accs = [0] * high, [0] * high
     v, acc, top = p.f1, 0, high - 1

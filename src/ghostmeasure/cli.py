@@ -143,8 +143,11 @@ def _parse_t_spec(spec: str) -> list[int]:
 def _cmd_eval(args, out) -> int:
     params = _resolve_params(args)
     if args.region is not None:
-        values = sequence.eval_region(params, args.region)
-        out.write(",".join(str(v) for v in values) + "\n")
+        sep = ""
+        for chunk in sequence._region_chunks(params, args.region):
+            out.write(sep + ",".join(map(str, chunk)))
+            sep = ","
+        out.write("\n")
     else:
         out.write(str(sequence.eval_f(params, args.n)) + "\n")
     return 0

@@ -191,8 +191,8 @@ def _floats(params: AffineParams, kmax: int) -> _Floats:
     Where 2^(n-1) or A^n has no double, the one correctly rounded scale
     2^(n-1)/A^n stands for the pair, so the kernel's term is
     scale (b0 + b1 e_n)/1.0.  The scale is below 1 in limit tables (A >= 3)
-    and at most sigma(N)/b at level N; only b = 0 with A = 1, whose terms
-    are zero, takes it past the double range (n > 1024).
+    and at most sigma(N)/b at level N.  With b = 0 every term is a zero of
+    the same sign whatever its positive scale, so those levels take 1.0.
     """
     values = _doubles((params.a0, params.a1, params.a, params.b0, params.b1, params.f1))
     scales = []
@@ -201,7 +201,8 @@ def _floats(params: AffineParams, kmax: int) -> _Floats:
         try:
             scales.append((float(two), float(apow)))
         except OverflowError:
-            scales.append((*_doubles([Fraction(two, apow)], _SCALE_RANGE), 1.0))
+            scale = Fraction(two, apow) if params.b else 1
+            scales.append((*_doubles([scale], _SCALE_RANGE), 1.0))
     return _Floats(*values, scales)
 
 
@@ -442,6 +443,9 @@ def coeff_table(params: AffineParams, ts: Iterable[int], tol: float = 1e-12,
                 total = sigma_norm(params, level)
             norm = None if total is None else _doubles([total], _NORM_RANGE)[0]
             re[idx], im[idx] = _evaluate(params, tn, depth[idx], v2, norm)
+            # 2^(n-1) (b0 + b1 e_n) is formed before its division by A^n.
+            if not np.isfinite((re, im)).all():
+                raise DomainError(_SCALE_RANGE)
             if level is not None:
                 tail[idx] = _level_bound(level, norm)
         return CoeffTable(re, im, np.hypot(re, im), tail, depth)

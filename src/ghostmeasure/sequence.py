@@ -26,10 +26,8 @@ The normalised sum sigma(N) = Sigma(N)/A^N converges for A > 2 to
 f(1) + b/(A-2).
 
 All values are exact: big integers for f and Sigma, Fraction for sigma.
-Every whole region comes from one builder, _region: int64 while the values
-fit, Python integers otherwise.  It is the module's only numpy code, so
-numpy loads on the first region build (eval --region or a comb's exact
-atoms, the tests' brute-force oracle), never for eval_f or the closed forms.
+The values below a node are affine in the node's value, and every path over
+the 2^N values of a region reads that one table (_subtree).
 """
 
 from __future__ import annotations
@@ -37,13 +35,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Iterator, Optional
 
-from ._util import int_from_env, numpy
+from ._util import int_from_env
 from .errors import CatalogError, DomainError, ResourceCapError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_MAX_LEVEL = 26
 _ENV_MAX_LEVEL = "GHOSTMEASURE_MAX_LEVEL"
@@ -124,37 +119,36 @@ def _check_level(level: int) -> None:
         raise ResourceCapError(f"region level {level} exceeds cap {cap} (override with {_ENV_MAX_LEVEL})")
 
 
-def _region(params: AffineParams, level: int) -> np.ndarray:
-    """f(2^N), ..., f(2^{N+1}-1) for N = level: int64 when every value fits.
+def _subtree(params: AffineParams, k: int) -> tuple[list[int], list[int]]:
+    """(P, Q): the 2^k values k digits below an index where f = v are
+    P[j] v + Q[j], j = 0..2^k-1 in index order.
 
-    Every value of region N-1 spawns its two children, v[2m+d] = A_d v[m] + b_d,
-    so region N costs 2^N work, not 2^N digit descents.  Every value of every
-    level is at most the max-branch bound v <- max(A0,A1) v + max(b0,b1) from
-    f(1) (the coefficients are non-negative), so while that bound and the
-    coefficients stay below 2^63 no int64 step overflows; otherwise the same
-    loop runs over Python integers (dtype=object).
+    Built level by level: the child of entry j by digit d is entry 2j + d,
+    with P <- A_d P and Q <- A_d Q + b_d.
     """
-    np = numpy()
-    amax, bmax = max(params.a0, params.a1), max(params.b0, params.b1)
-    v, peak = params.f1, max(amax, bmax, params.f1)
-    for _ in range(level):
-        v = amax * v + bmax
-        peak = max(peak, v)
-    region = np.array([params.f1], dtype=object if peak >> 63 else np.int64)
-    for _ in range(level):
-        nxt = np.empty(2 * region.size, dtype=region.dtype)
-        for d in (0, 1):
-            a, b = params.branch(d)
-            np.multiply(region, a, out=nxt[d::2])
-            nxt[d::2] += b
-        region = nxt
-    return region
+    a0, a1, b0, b1 = params.a0, params.a1, params.b0, params.b1
+    P, Q = [1], [0]
+    for _ in range(k):
+        P = [a * x for x in P for a in (a0, a1)]
+        Q = [a * x + b for x in Q for a, b in ((a0, b0), (a1, b1))]
+    return P, Q
+
+
+def _region_chunks(params: AffineParams, level: int) -> Iterator[list[int]]:
+    """Region N = level in index order as 2^(N-k) chunks of 2^k values,
+    k = ceil(N/2): the depth-k table at each value of the depth-(N-k) table
+    below f(1).  The level is checked and both tables are built before this
+    returns, so a caller can write each chunk as it comes."""
+    _check_level(level)
+    k = (level + 1) // 2
+    P, Q = _subtree(params, k)
+    outer = zip(*_subtree(params, level - k))
+    return ([p * v + q for p, q in zip(P, Q)] for v in (a * params.f1 + b for a, b in outer))
 
 
 def eval_region(params: AffineParams, level: int) -> list[int]:
     """[f(2^N), ..., f(2^{N+1}-1)] for N = level, as Python integers, under the level cap."""
-    _check_level(level)
-    return _region(params, level).tolist()
+    return [x for chunk in _region_chunks(params, level) for x in chunk]
 
 
 def _block_sum(params: AffineParams, value: int, depth: int) -> int:

@@ -26,7 +26,6 @@ from ghostmeasure import (
 )
 from ghostmeasure import approximant
 from ghostmeasure.cli import main
-from ghostmeasure.sequence import _region
 
 from comb_fft import comb_fft
 
@@ -174,15 +173,8 @@ def test_level_table_within_bounds_of_comb_fft(p):
         assert (err <= tab.tail_bound + fft_bound).all(), (level, err.max())
 
 
-def max_branch_bound(p, level):
-    v = p.f1
-    for _ in range(level):
-        v = max(p.a0, p.a1) * v + max(p.b0, p.b1)
-    return max(v, p.f1, p.a0, p.a1, p.b0, p.b1)
-
-
 def region_oracle(p, level):
-    """Region N by the Python-int list recurrence, independent of numpy."""
+    """Region N by the Python-int list recurrence, independent of the sub-tree table."""
     region = [p.f1]
     for _ in range(level):
         nxt = [0] * (2 * len(region))
@@ -193,26 +185,22 @@ def region_oracle(p, level):
 
 
 def test_region_dtype_boundary():
+    # Values that reach 2^63 - 1 exactly, pass it by 2^20 - 1, and pass it
+    # from N = 20 on: every atom is an exact Python int either way (an int64
+    # sum(w[lo:hi]) would wrap silently).
     below = AffineParams(2, 2, 0, 1, 2**43 - 1)  # f(2^21 - 1) = 2^63 - 1
     above = AffineParams(2, 2, 0, 1, 2**43)      # f(2^21 - 1) = 2^63 + 2^20 - 1
     big = AffineParams(6, 9, 1, 2, 1)            # past 2^63 from N = 20 on
     for p in (below, above, big):
         for level in range(21):
             exact = region_oracle(p, level)
-            region = _region(p, level)
-            fits = max_branch_bound(p, level) < 2**63
-            assert region.dtype == (np.int64 if fits else object), (p, level)
-            assert region.tolist() == exact
-        # N = 20, int64 for below, Python ints for the others: the exact atoms are
-        # Python ints either way (an int64 sum(w[lo:hi]) would wrap silently).
+            assert eval_region(p, level) == exact, (p, level)
         for values in (eval_region(p, 20), build_comb(p, 20).weights):
             assert list(values) == exact and all(type(x) is int for x in values)
-    assert _region(below, 20).dtype == np.int64 and _region(below, 20).max() == 2**63 - 1
-    assert _region(above, 19).dtype == np.int64 and _region(above, 20).dtype == object
-    assert _region(big, 19).dtype == np.int64 and _region(big, 20).dtype == object
+    assert max(eval_region(below, 20)) == 2**63 - 1
+    assert max(eval_region(above, 20)) == 2**63 + 2**20 - 1
     wide = AffineParams(2**63, 1, 1, 0, 0)  # f(1) = 0: a coefficient, not a value, passes 2^63
     for level in range(4):
-        assert _region(wide, level).dtype == object
         assert eval_region(wide, level) == region_oracle(wide, level)
 
 

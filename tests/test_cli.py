@@ -241,6 +241,7 @@ print(json.dumps(seen))
 
 EXACT_ARGVS = [
     ["eval", "--catalog", "gould_G", "--n", "7"],
+    ["eval", "--params", "2", "2", "0", "1", "1", "--region", "3"],
     ["classify", "--params", "3", "0", "0", "1", "1"],
     ["cdf", "--catalog", "ruler_R", "--N", "10", "--grid", "64"],
     ["cdf", "--catalog", "identity", "--N", "22", "--grid", "1024"],
@@ -257,7 +258,6 @@ NUMPY_ARGVS = [
     ["fourier", "--catalog", "gould_G", "--t", "1..8", "--mode", "recursive", "--N", "6"],
     ["fourier", "--catalog", "gould_G", "--t", "1..8", "--mode", "direct", "--N", "6"],
     ["wiener", "--params", "1", "2", "0", "0", "1", "--n-max", "4"],
-    ["eval", "--params", "2", "2", "0", "1", "1", "--region", "3"],
 ]
 
 
@@ -268,6 +268,37 @@ def test_numpy_loads_only_for_the_commands_that_compute_with_it():
     for argv in NUMPY_ARGVS:
         seen = json.loads(run_fresh(NUMPY_PROBE, json.dumps([argv])))
         assert seen == [False, False, [0, True, False]], argv
+
+
+# Run one argv through main in a fresh process, tracemalloc started after
+# import; print the exit code, the stdout and the traced peak in bytes.
+PEAK_PROBE = """
+import contextlib, io, json, sys, tracemalloc
+import ghostmeasure.cli
+out = io.StringIO()
+tracemalloc.start()
+with contextlib.redirect_stdout(out):
+    code = ghostmeasure.cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, out.getvalue(), tracemalloc.get_traced_memory()[1]]))
+"""
+
+
+def test_eval_region_streams_in_bounded_memory(tmp_path):
+    # Region 20 of 6 9 1 2 1 is 2^20 values past 2^63 (about 20 MiB of text):
+    # it is written chunk by chunk, so the peak stays far below the region.
+    target = tmp_path / "region.csv"
+    argv = ["eval", "--params", "6", "9", "1", "2", "1", "--region", "20", "--out", str(target)]
+    code, out, peak = json.loads(run_fresh(PEAK_PROBE, json.dumps(argv)))
+    assert code == 0 and out == ""
+    assert peak < 8 * 2**20, peak
+    values = target.read_text().split(",")
+    assert len(values) == 2**20 and values[-1].endswith("\n")
+    p = AffineParams(6, 9, 1, 2, 1)
+    for n in (0, 1, 2**19 - 1, 2**19, 2**20 - 1):
+        assert int(values[n]) == eval_f(p, 2**20 + n)
+    # Past the cap nothing is written: the check runs before the first chunk.
+    code, out, _ = json.loads(run_fresh(PEAK_PROBE, json.dumps(argv[:7] + ["--region", "27"])))
+    assert code == 3 and out == ""
 
 
 def test_threads_do_not_change_output(capsys):
@@ -323,11 +354,15 @@ def test_indicator_sum_beyond_double_range_exit_code(capsys):
         code, out, err = run_cli(capsys, "fourier", *argv)
         assert code == 0 and err == "", argv
         assert all(math.isfinite(float(x)) for r in parse_csv(out)[1] for x in r[1:]), argv
-    # Only b = 0 with A = 1 takes the scale itself past the double range
-    # (its terms are zero): a domain error, not an OverflowError
-    code, out, err = run_cli(capsys, "fourier", "--params", "1", "0", "0", "0", "1", "--mode", "recursive",
-                             "--N", "1100", "--t", str(2**1024))
-    assert code == 2 and out == "" and "indicator sum leaves the double range" in err
+    # b = 0 with A = 1 takes the scale 2^(n-1) itself past the double range
+    # for n > 1024, but its terms are exact zeros: the row is that of 2^1023
+    rows = []
+    for t in (2**1023, 2**1024):
+        code, out, err = run_cli(capsys, "fourier", "--params", "1", "0", "0", "0", "1",
+                                 "--mode", "recursive", "--N", "1100", "--t", str(t))
+        assert code == 0 and err == "", t
+        rows.append(out.split("\n")[1].split(",", 1)[1])
+    assert rows[0] == rows[1] == "1,0,1,3.5538239018283589e-12"
 
 
 def test_parameter_beyond_double_range_exit_code(capsys):
@@ -345,6 +380,14 @@ def test_parameter_beyond_double_range_exit_code(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err == "domain error: a parameter (A0, A1, A, b0, b1 or f(1)) leaves the double range\n", argv
+    # b0 = 10^300 has a double, but 2^(n-1) b0 does not: the coefficient is
+    # not finite, and the table is refused rather than printed as nan
+    for argv in (["--params", "1", "1", str(10**300), "0", "1", "--mode", "recursive", "--N", "40",
+                  "--t", str(2**30)],
+                 ["--params", "1", "2", str(10**300), "0", "1", "--t", str(2**40)]):
+        code, out, err = run_cli(capsys, "fourier", *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("domain error: the indicator sum leaves the double range"), argv
 
 
 def test_wiener_table(capsys):

@@ -11,6 +11,7 @@ Hypothesis runs derandomized with small bounded strategies, so every run
 draws the same examples and the suite's time barely moves.
 """
 
+import cmath
 import contextlib
 import io
 import itertools
@@ -656,15 +657,19 @@ def suffix_products(p: AffineParams, t: int, depth: int) -> list[complex]:
 def indicator_sum(p: AffineParams, t: int, suffix: list[complex], k: int) -> complex:
     """f(1) P_0 + sum_{n=1..k} 2^(n-1) (b0 + b1 e^{-2 pi i t/2^n}) / A^n * P_n;
     where 2^(n-1) or A^n has no double, one correctly rounded scale
-    2^(n-1)/A^n stands for the pair (over 1)."""
+    2^(n-1)/A^n stands for the pair (over 1), or 1 where b = 0 (z is then a
+    zero, and so is the term whatever its positive scale).  OverflowError
+    where the sum is not finite (2^(n-1) z may overflow before the division)."""
     acc = p.f1 * suffix[0]
     for n in range(1, k + 1):
         z = p.b0 + p.b1 * _unit_phase(t, n)
         try:
             coef = (1 << (n - 1)) * z / p.a**n
         except OverflowError:
-            coef = float(Fraction(1 << (n - 1), p.a**n)) * z / 1
+            coef = float(Fraction(1 << (n - 1), p.a**n) if p.b else 1) * z / 1
         acc += coef * suffix[n]
+    if not cmath.isfinite(acc):
+        raise OverflowError("the indicator sum is not finite")
     return acc
 
 
@@ -806,6 +811,7 @@ BIG_EVEN = [2**64, 3 * 2**65, -(2**70)]
 @given(kernel_params(), st.lists(KERNEL_T, min_size=1, max_size=6), TOL.map(float))
 @example(GAP_PARAMS, BIG_EVEN, 1e-12)
 @example(AffineParams(3, 5, 1, 1, 1), [2**400, 3], 1e-3)
+@example(AffineParams(1, 2, 10**300, 0, 1), [2**40, 3], 1e-12)  # 2^(n-1) b0 has no double
 def test_limit_kernel_matches_scalar_loops(p, ts, tol):
     check_batch(lambda ts: coeff_table(p, ts, tol), lambda t: limit_oracle(p, t, tol), ts)
     want = oracle_outcome(lambda: limit_oracle(p, ts[0], tol))
@@ -819,6 +825,7 @@ def test_limit_kernel_matches_scalar_loops(p, ts, tol):
 @example(GAP_PARAMS, 1100, BIG_EVEN)
 @example(AffineParams(1, 2, 0, 1, 1), 1100, [2**1000, 3 * 2**700])
 @example(AffineParams(1, 0, 0, 0, 1), 1100, [2**1024, 3])  # b = 0, A = 1: 2^1024 has no double
+@example(AffineParams(1, 1, 10**300, 0, 1), 40, [2**30, 3])  # 2^(n-1) b0 has no double
 @example(AffineParams(1, 2, 0, 1, 0), 0, [1])  # Sigma(0) = f(1) = 0
 @example(AffineParams(0, 0, 2, 1, 3), 3, [0, 4, 8, -4, 12, 1])
 def test_recursive_kernel_matches_scalar_loops(p, level, ts):

@@ -17,6 +17,7 @@ from ghostmeasure import (
     sigma_inf,
     sigma_norm,
 )
+from ghostmeasure.sequence import _region_chunks, _subtree
 
 CATALOG_NAMES = [
     "constant", "identity", "gould_g", "gould_G", "ruler_r",
@@ -110,6 +111,28 @@ def test_region_matches_digit_descent(name):
         base = 2**level
         for n in sorted({0, 1, base // 3, base // 2, base - 1} & set(range(base))):
             assert region[n] == eval_f(p, base + n)
+
+
+def test_subtree_table_matches_digit_descent():
+    # The 2^k values k digits below an index n are P[j] f(n) + Q[j], in index order.
+    for p in (AffineParams(1, 2, 0, 1, 1), AffineParams(6, 9, 1, 2, 3), AffineParams(0, 3, 2, 0, 1),
+              AffineParams(2**80, 1, 0, 5, 2)):
+        for k in range(6):
+            P, Q = _subtree(p, k)
+            for n in (1, 2, 5, 12):
+                v = f_naive(p, n)
+                assert [a * v + b for a, b in zip(P, Q)] == [f_naive(p, (n << k) + j)
+                                                             for j in range(1 << k)], (p, k, n)
+
+
+def test_region_chunks_split_the_region_at_half_its_depth():
+    # 2^(N-k) chunks of 2^k values, k = ceil(N/2), that join to the region.
+    p = AffineParams(1, 2, 0, 1, 1)
+    for level in range(10):
+        chunks = list(_region_chunks(p, level))
+        k = (level + 1) // 2
+        assert [len(c) for c in chunks] == [1 << k] * (1 << (level - k)), level
+        assert [x for c in chunks for x in c] == [f_naive(p, n) for n in range(1 << level, 2 << level)]
 
 
 def test_region_examples():

@@ -12,17 +12,24 @@ that names `--out` writes into the worker's temporary directory instead.  An
 exception that escapes main counts as exit 1 with `Type: message` as its
 stderr, so no traceback path differs between the trees.
 
-The fixed list holds the README's CLI examples and a sweep of `cdf`,
-`fourier`, `wiener` and `density` runs in CSV and JSON, domain and cap
-errors included; its `fourier` runs take recursive levels at and below
+The fixed list holds the README's CLI examples and a sweep of `eval
+--region`, `cdf`, `fourier`, `wiener` and `density` runs in CSV and JSON,
+domain and cap errors included.  Its `eval --region` runs take every `cdf`
+parameter set at levels 0, 1, 2, 5, 12 and 13, to stdout and to `--out`,
+level 20 for three sets whose values reach or pass 2^63, and levels 27
+(past the cap) and -1.  Its `fourier` runs take recursive levels at and below
 v2(t), levels past 63 and 1022, A = 0, tol 1e-20, even t beyond int64 and
 the int64 edges -2^63, -(2^63-1) and 2^63-1; its level-N runs take both
 modes (direct is the recursive table) at N = 0 and at N = 27, past the
 region cap, the 2^80 set at N = 18 with v2(t) >= 12 (A^n past the double
-range in the indicator sum) and parameters of 10^400 at N = 4.  `--argvs`
-replaces it with a JSON list of argv lists.  One run, A = 0 with b0 = 10^400 at N = 3, is an
-expected mismatch against a tree whose A = 0 branch converts b0 unguarded:
-exit 1 with `OverflowError` there, exit 2 with the parameter message here.
+range in the indicator sum), parameters of 10^400 at N = 4, b0 = 10^300,
+whose 2^(n-1) b0 has no double, and the homogeneous `1 0 0 0 1` at
+t = 2^1024, past the double range of 2^(n-1).  `--argvs` replaces it with a
+JSON list of argv lists.  Some runs are expected mismatches against older
+trees: A = 0 with b0 = 10^400 at N = 3 (exit 1 with `OverflowError` where
+the A = 0 branch converts b0 unguarded), the two b0 = 10^300 runs (exit 0
+with `nan` where a non-finite coefficient is printed) and the t = 2^1024
+run (exit 2 where a homogeneous scale past the double range is refused).
 Every mismatch is printed with its argv and the parts that differ; the
 exit code is 1 on any mismatch, 0 otherwise.  Standard library only.
 """
@@ -111,11 +118,24 @@ MULTIPLES = ",".join(str(t) for t in sorted({8 * k for k in range(-16, 17)}
                                               | {64 * k for k in range(-16, 17)}))
 BIG_EVEN = f"{2**64},{3 * 2**65},{-(2**70)}"
 INT64_EDGES = f"{-(2**63)},{-(2**63 - 1)},{2**63 - 1}"
+# Region values that reach 2^63 - 1 exactly, pass it, and pass it from N = 20 on.
+INT64_REGION_PARAMS = [
+    ["--params", "2", "2", "0", "1", str(2**43 - 1)], ["--params", "2", "2", "0", "1", str(2**43)],
+    ["--params", "6", "9", "1", "2", "1"],
+]
 
 
 def sweep() -> list[list[str]]:
-    """The README examples, then the cdf, fourier, wiener and density runs."""
+    """The README examples, then the eval --region, cdf, fourier, wiener and density runs."""
     runs = list(README)
+    for params in CDF_PARAMS:
+        for level in ("0", "1", "2", "5", "12", "13"):
+            for out in ([], ["--out", "region.csv"]):
+                runs.append(["eval", *params, "--region", level, *out])
+    for params in INT64_REGION_PARAMS:
+        runs.append(["eval", *params, "--region", "20"])
+    for level in ("27", "-1"):
+        runs.append(["eval", "--catalog", "identity", "--region", level])
     for params in CDF_PARAMS:
         for level in (0, 1, 2, 3, 5, 8, 12, 17, 22):
             grids = [2, 3, 7, 1024] + ([(1 << level) + 10] if level <= 12 else [])
@@ -153,6 +173,11 @@ def sweep() -> list[list[str]]:
                          "--mode", "recursive", "--N", level, *fmt])
     runs.append(["fourier", "--params", "0", "0", str(10**400), "1", "1", "--mode", "recursive",
                  "--N", "3", "--t", "1..4"])
+    runs.append(["fourier", "--params", "1", "1", str(10**300), "0", "1", "--mode", "recursive",
+                 "--N", "40", "--t", str(2**30)])
+    runs.append(["fourier", "--params", "1", "2", str(10**300), "0", "1", "--t", str(2**40)])
+    runs.append(["fourier", "--params", "1", "0", "0", "0", "1", "--mode", "recursive",
+                 "--N", "1100", "--t", str(2**1024)])
     for mode in ("recursive", "direct"):
         for params in FOURIER_PARAMS:
             for level in ("0", "27"):
