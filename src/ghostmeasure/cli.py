@@ -206,7 +206,6 @@ def _cmd_density(args, out) -> int:
         raise DomainError("--grid must be a power of two >= 2")
     nums, den, tail = ghost._density_grid(params, grid.bit_length() - 1, args.depth)
     # int / int is correctly rounded, as float(Fraction) is: the same doubles.
-    # g first, so the folds are freed before the x column is built.
     g = [v / den for v in nums]
     _emit(["x", "g", "tail_bound"], [[k / grid for k in range(grid)], g, [tail / den] * grid],
           args.format, out)
@@ -366,8 +365,12 @@ def _run_to_file(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # Exact integers print in full: lift CPython's int-to-str cap (3.10.7+) for this call.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "out", None):
             return _run_to_file(args)
         return args.fn(args, sys.stdout)
@@ -380,6 +383,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 def run() -> None:

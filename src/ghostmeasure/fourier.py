@@ -141,6 +141,7 @@ _DEPTH_RANGE = "|t|/tol too large: the product depth leaves the double range"
 _PARAM_RANGE = "a parameter (A0, A1, A, b0, b1 or f(1)) leaves the double range"
 _NORM_RANGE = "the normalising sum leaves the double range"
 _SCALE_RANGE = "the indicator sum leaves the double range (2^(n-1)/A^n for n up to v2(t)+1)"
+_TERM_RANGE = "the indicator sum leaves the double range (2^(n-1) (b0 + b1 e_n) before its division by A^n)"
 
 
 @dataclass(frozen=True, eq=False)
@@ -443,9 +444,8 @@ def coeff_table(params: AffineParams, ts: Iterable[int], tol: float = 1e-12,
                 total = sigma_norm(params, level)
             norm = None if total is None else _doubles([total], _NORM_RANGE)[0]
             re[idx], im[idx] = _evaluate(params, tn, depth[idx], v2, norm)
-            # 2^(n-1) (b0 + b1 e_n) is formed before its division by A^n.
             if not np.isfinite((re, im)).all():
-                raise DomainError(_SCALE_RANGE)
+                raise DomainError(_TERM_RANGE)
             if level is not None:
                 tail[idx] = _level_bound(level, norm)
         return CoeffTable(re, im, np.hypot(re, im), tail, depth)

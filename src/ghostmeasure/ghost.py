@@ -24,9 +24,9 @@ Radon-Nikodym density in case 2B,
 
     g(x) = (f(1) + sum_j b_{x_j} A^-j) / (f(1) + b/(2A-2)),   A = A0 = A1,
 
-truncated after d digits by density at one x and by _density_grid on a
-whole dyadic grid from one shared-prefix fold (the same values point for
-point), and drives the concentration diagnostics in case 2C.  In case 2D (say
+truncated after d digits (its Horner numerator is f((1 x1 .. xd)_2), read by
+density from eval_f and by _density_grid from sequence._below), and drives
+the concentration diagnostics in case 2C.  In case 2D (say
 A1 = 0, A = A0) the measure is purely atomic with weights
 
     mu({0})  = (f(1) + b0/(A-1)) / sigma_inf,
@@ -57,7 +57,7 @@ from typing import Iterator, Optional
 
 from .approximant import DyadicInterval
 from .errors import DomainError
-from .sequence import AffineParams, eval_f, sigma_inf
+from .sequence import AffineParams, _below, eval_f, sigma_inf
 from ._util import parse_bits
 
 #: Seed used by the reproducible randomised diagnostics in the test suite.
@@ -174,8 +174,8 @@ def density(params: AffineParams, bits, depth: Optional[int] = None) -> DensityE
     of the series is bounded by max(b0,b1) / ((A-1) A^d) over the same
     denominator, reported in tail_bound.
 
-    One integer fold, v = f(1) A^d + sum_j b_{x_j} A^(d-j) by Horner's rule,
-    over the denominator of _density_terms; the exact value is its
+    The Horner fold v = f(1) A^d + sum_j b_{x_j} A^(d-j) is f((1 x1 .. xd)_2),
+    one eval_f, over the denominator of _density_terms; the exact value is its
     Fraction, the float value and tail bound one int/int division each.
     """
     _require_2b(params)
@@ -183,49 +183,38 @@ def density(params: AffineParams, bits, depth: Optional[int] = None) -> DensityE
     d = len(xs) if depth is None else depth
     if d < 0:
         raise DomainError("depth must be >= 0")
-    a, b0, b1 = params.a0, params.b0, params.b1
-    v = params.f1
-    for x in xs[:d]:
-        v = a * v + (b1 if x else b0)
-    for _ in range(d - len(xs)):
-        v = a * v + b0
+    n = int("".join(map(str, (1, *xs[:d]))), 2) << max(d - len(xs), 0)
     scale, den, tail = _density_terms(params, d)
-    num = v * scale
+    num = eval_f(params, n) * scale
     return DensityEstimate(num / den, tail / den, Fraction(num, den))
 
 
 def _density_grid(params: AffineParams, width: int, depth: int) -> tuple[Iterator[int], int, int]:
     """(nums, den, tail): density(params, format(k, f"0{width}b"), depth) is
-    nums[k] / den for k = 0..2^width-1 in order, every tail bound tail / den;
-    the numerators come from one shared-prefix fold, each built when read.
+    nums[k] / den for k = 0..2^width-1 in order, every tail bound tail / den.
 
-    The Horner folds of all 2^m prefixes of m = min(width, depth) digits come
-    level by level, P[2j+x] = A P[j] + b_x, so each is one step from its
-    parent.  For depth <= width every point reads its first `depth` digits
-    (2^(width-depth) points per prefix); otherwise the c = depth - width
-    trailing 0 digits extend each fold in closed form, P A^c + b0 (A^c -
-    1)/(A - 1).
+    The Horner folds of all 2^m prefixes of m = min(width, depth) digits are
+    region m, built chunk by chunk as read from sequence._below (no cap).  For
+    depth <= width every point reads its first `depth` digits (2^(width-depth)
+    points per prefix); otherwise the c = depth - width trailing 0 digits
+    extend each fold in closed form, v A^c + b0 (A^c - 1)/(A - 1).
     """
     _require_2b(params)
     if depth < 0:
         raise DomainError("depth must be >= 0")
-    a, b0, b1 = params.a0, params.b0, params.b1
-    folds = [params.f1]
-    for _ in range(min(width, depth)):
-        folds = [a * v + b for v in folds for b in (b0, b1)]
+    chunks = _below(params, params.f1, min(width, depth))
     scale, den, tail = _density_terms(params, depth)
     if depth <= width:
         repeat = 1 << (width - depth)
-        return (v * scale for v in folds for _ in range(repeat)), den, tail
-    ac = a**(depth - width)
-    zeros = b0 * (ac - 1) // (a - 1)
-    return ((v * ac + zeros) * scale for v in folds), den, tail
+        return (v * scale for chunk in chunks for v in chunk for _ in range(repeat)), den, tail
+    ac = params.a0**(depth - width)
+    zeros = params.b0 * (ac - 1) // (params.a0 - 1)
+    return ((v * ac + zeros) * scale for chunk in chunks for v in chunk), den, tail
 
 
 def _density_terms(params: AffineParams, depth: int) -> tuple[int, int, int]:
-    """(2A-2, den, 2 max(b0,b1)) with den = A^d (f(1) (2A-2) + b): the depth-d
-    truncation of the Horner fold v is v (2A-2) / den, its tail bound
-    2 max(b0,b1) / den."""
+    """(2A-2, den, 2 max(b0,b1)), den = A^d (f(1) (2A-2) + b): the depth-d
+    truncation of fold v is v (2A-2) / den, its tail bound 2 max(b0,b1) / den."""
     scale = 2 * params.a0 - 2
     den = params.a0**depth * (params.f1 * scale + params.b)
     return scale, den, 2 * max(params.b0, params.b1)
@@ -276,8 +265,9 @@ def ratio_sequence_exact(params: AffineParams, bits) -> list[Fraction]:
 
 def _ratio_fold(params: AffineParams, bits) -> Iterator[tuple[int, int]]:
     """The ratios 2^j interval_measure(E(x1..xj)) as unreduced integer pairs
-    (num, den), j = 1..len(bits): one fold over the digits.  The checks on
-    bits and params run at the first next()."""
+    (num, den), j = 1..len(bits): one fold over the digits, eval_f's step kept
+    here as eval_f per prefix would be quadratic.  The checks on bits and
+    params run at the first next()."""
     xs = parse_bits(bits)
     pq = _dyadic_sigma(params, "ratio sequence")
     if pq is None:

@@ -26,8 +26,8 @@ The normalised sum sigma(N) = Sigma(N)/A^N converges for A > 2 to
 f(1) + b/(A-2).
 
 All values are exact: big integers for f and Sigma, Fraction for sigma.
-The values below a node are affine in the node's value, and every path over
-the 2^N values of a region reads that one table (_subtree).
+The values below a node are affine in the node's value: one table (_subtree)
+feeds the chunks of _below (regions, density grids) and the cdf's prefix sums.
 """
 
 from __future__ import annotations
@@ -134,16 +134,20 @@ def _subtree(params: AffineParams, k: int) -> tuple[list[int], list[int]]:
     return P, Q
 
 
-def _region_chunks(params: AffineParams, level: int) -> Iterator[list[int]]:
-    """Region N = level in index order as 2^(N-k) chunks of 2^k values,
-    k = ceil(N/2): the depth-k table at each value of the depth-(N-k) table
-    below f(1).  The level is checked and both tables are built before this
-    returns, so a caller can write each chunk as it comes."""
-    _check_level(level)
-    k = (level + 1) // 2
+def _below(params: AffineParams, v: int, depth: int) -> Iterator[list[int]]:
+    """The 2^depth values `depth` digits below an index where f = v, in order:
+    the depth-k table, k = ceil(depth/2), at each value of the depth-(depth-k)
+    table below v.  Both are built before this returns; depth is unchecked."""
+    k = (depth + 1) // 2
     P, Q = _subtree(params, k)
-    outer = zip(*_subtree(params, level - k))
-    return ([p * v + q for p, q in zip(P, Q)] for v in (a * params.f1 + b for a, b in outer))
+    outer = zip(*_subtree(params, depth - k))
+    return ([p * u + q for p, q in zip(P, Q)] for u in (a * v + b for a, b in outer))
+
+
+def _region_chunks(params: AffineParams, level: int) -> Iterator[list[int]]:
+    """Region N = level as _below(f(1), N) gives it, the level checked first."""
+    _check_level(level)
+    return _below(params, params.f1, level)
 
 
 def eval_region(params: AffineParams, level: int) -> list[int]:

@@ -52,6 +52,33 @@ def test_eval_region_dump_beyond_int64(capsys):
     assert out == ",".join(str(eval_f(params, n)) for n in range(8, 16)) + "\n"
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str cap")
+def test_exact_integers_print_in_full(capsys):
+    # Values past CPython's default 4,300-digit int-to-str cap print in full,
+    # and main gives the caller its own cap back.
+    big = str(10**400)
+    ones = "1" * 12  # the interval holds the one atom f(2^13 - 1) = (10^400)^12
+    mu = "{}/{} = 1\n".format
+    runs = [(["eval", "--params", "9", "9", "0", "0", "1", "--n", str(2**14000)],
+             lambda: str(9**14000) + "\n"),
+            (["interval", "--params", "1", big, "0", "0", "1", "--bits", ones],
+             lambda: f"mu(E_{ones}) = " + mu(10**4800, (10**400 + 1)**12)),
+            (["interval", "--params", "1", big, "0", "0", "1", "--bits", ones, "--N", "12"],
+             lambda: f"mu_12(E_{ones}) = " + mu(10**4800, (10**400 + 1)**12)),
+            (["eval", "--params", "1", big, "0", "0", "1", "--region", "11"],
+             lambda: ",".join(str(10**(400 * bin(j).count("1"))) for j in range(2048)) + "\n")]
+    cap = sys.get_int_max_str_digits()
+    for argv, expected in runs:
+        code, out, err = run_cli(capsys, *argv)
+        assert sys.get_int_max_str_digits() == cap
+        assert code == 0 and err == "", argv[:2]
+        sys.set_int_max_str_digits(0)
+        try:
+            assert out == expected(), argv[:2]
+        finally:
+            sys.set_int_max_str_digits(cap)
+
+
 def test_eval_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "eval", "--params", "2", "2", "0", "1", "1", "--n", "0")
     assert code == 2
@@ -387,7 +414,8 @@ def test_parameter_beyond_double_range_exit_code(capsys):
                  ["--params", "1", "2", str(10**300), "0", "1", "--t", str(2**40)]):
         code, out, err = run_cli(capsys, "fourier", *argv)
         assert code == 2 and out == "", argv
-        assert err.startswith("domain error: the indicator sum leaves the double range"), argv
+        assert err == ("domain error: the indicator sum leaves the double range "
+                       "(2^(n-1) (b0 + b1 e_n) before its division by A^n)\n"), argv
 
 
 def test_wiener_table(capsys):
@@ -411,6 +439,19 @@ def test_density_grid(capsys):
         assert abs(float(g) - (2 + 2 * float(x)) / 3) < 1e-8
     code, _, err = run_cli(capsys, "density", "--params", "2", "2", "0", "1", "1", "--grid", "7")
     assert code == 2 and "power of two" in err
+
+
+def test_density_has_no_level_cap(capsys, monkeypatch):
+    # The density grid reads region min(w, d) through the unchecked sub-tree
+    # chunks: the region cap binds eval --region, not density.
+    argv = ["density", "--params", "2", "2", "0", "1", "1", "--grid", "64", "--depth", "10"]
+    monkeypatch.delenv("GHOSTMEASURE_MAX_LEVEL", raising=False)
+    code, uncapped, _ = run_cli(capsys, *argv)
+    assert code == 0
+    monkeypatch.setenv("GHOSTMEASURE_MAX_LEVEL", "3")
+    assert run_cli(capsys, *argv) == (0, uncapped, "")
+    code, out, err = run_cli(capsys, "eval", "--params", "2", "2", "0", "1", "1", "--region", "4")
+    assert (code, out) == (3, "") and err.startswith("resource cap: region level 4 exceeds cap 3")
 
 
 def test_density_wrong_case_exit(capsys):

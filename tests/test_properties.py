@@ -127,8 +127,10 @@ def ratio_sequence_oracle(p: AffineParams, bits: str) -> list[Fraction]:
 
 @st.composite
 def params_2b(draw):
-    a = draw(st.integers(2, 6))
-    b0, b1 = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    """Case 2B parameters: A in 2..6 or 2^80, each b in 0..5 or up to 2^70."""
+    a = draw(st.one_of(st.integers(2, 6), st.just(2**80)))
+    coef = st.one_of(st.integers(0, 5), st.integers(0, 2**70))
+    b0, b1 = draw(coef), draw(coef)
     if b0 == b1 == 0:
         b1 = 1
     return AffineParams(a, a, b0, b1, draw(st.integers(0, 5)))

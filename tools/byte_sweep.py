@@ -24,14 +24,24 @@ modes (direct is the recursive table) at N = 0 and at N = 27, past the
 region cap, the 2^80 set at N = 18 with v2(t) >= 12 (A^n past the double
 range in the indicator sum), parameters of 10^400 at N = 4, b0 = 10^300,
 whose 2^(n-1) b0 has no double, and the homogeneous `1 0 0 0 1` at
-t = 2^1024, past the double range of 2^(n-1).  `--argvs` replaces it with a
-JSON list of argv lists.  Some runs are expected mismatches against older
-trees: A = 0 with b0 = 10^400 at N = 3 (exit 1 with `OverflowError` where
-the A = 0 branch converts b0 unguarded), the two b0 = 10^300 runs (exit 0
-with `nan` where a non-finite coefficient is printed) and the t = 2^1024
-run (exit 2 where a homogeneous scale past the double range is refused).
-Every mismatch is printed with its argv and the parts that differ; the
-exit code is 1 on any mismatch, 0 otherwise.  Standard library only.
+t = 2^1024, past the double range of 2^(n-1).  Its `density` runs take
+five parameter sets (2^80 and f(1) = 0 among them) through every grid
+path (depth above, below and equal to the grid's width, and depth 0), and
+`--bits` empty, shorter than, equal to and longer than `--depth`.  Values
+past CPython's 4,300-digit int-to-str cap are printed by `eval --n`,
+`eval --region 11` and `interval` (limit and `--N 12`) with a 10^400
+parameter.  `--argvs` replaces the list with a JSON list of argv lists.
+
+Some runs are expected mismatches against older trees: A = 0 with
+b0 = 10^400 at N = 3 (exit 1 with `OverflowError` where the A = 0 branch
+converts b0 unguarded), the two b0 = 10^300 runs (exit 0 with `nan` where
+a non-finite coefficient is printed, and a stderr that names the scale
+2^(n-1)/A^n where the unscaled 2^(n-1) (b0 + b1 e_n) is refused), the
+t = 2^1024 run (exit 2 where a homogeneous scale past the double range is
+refused) and the four runs past the int-to-str cap (exit 1 with
+`ValueError` where the cap is not lifted).  Every mismatch is printed
+with its argv and the parts that differ; the exit code is 1 on any
+mismatch, 0 otherwise.  Standard library only.
 """
 
 from __future__ import annotations
@@ -123,6 +133,16 @@ INT64_REGION_PARAMS = [
     ["--params", "2", "2", "0", "1", str(2**43 - 1)], ["--params", "2", "2", "0", "1", str(2**43)],
     ["--params", "6", "9", "1", "2", "1"],
 ]
+# Case 2B sets (gould_G is 1B, a domain error), 2^80 and f(1) = 0 included;
+# grids (G, d) with d > w, d < w (each prefix repeated), d = w and d = 0 for
+# G = 2^w; --bits of no digits, and shorter than, equal to and longer than
+# --depth.
+DENSITY_PARAMS = [
+    ["--catalog", "cantor"], ["--params", "2", "2", "0", "1", "1"], ["--catalog", "gould_G"],
+    ["--params", BIG, BIG, "0", "1", "1"], ["--params", "3", "3", "4", "0", "0"],
+]
+DENSITY_GRIDS = [("64", "10"), ("256", "64"), ("64", "3"), ("64", "6"), ("8", "0")]
+DENSITY_BITS = [("", "0"), ("", "5"), ("0110", "4"), ("0110", "9"), ("011011101", "4")]
 
 
 def sweep() -> list[list[str]]:
@@ -189,12 +209,18 @@ def sweep() -> list[list[str]]:
                          "--t=4096,8192,12288,-4096,3", "--mode", mode, "--N", "18", *fmt])
         runs.append(["fourier", "--params", str(10**400), "1", "0", "1", "1", "--t", "0..3",
                      "--mode", mode, "--N", "4"])
-    for params in (["--catalog", "cantor"], ["--params", "2", "2", "0", "1", "1"],
-                   ["--catalog", "gould_G"]):
+    for params in DENSITY_PARAMS:
         for fmt in FORMATS:
-            runs.append(["density", *params, "--grid", "64", "--depth", "10", *fmt])
-            runs.append(["density", *params, "--grid", "256", "--depth", "64", *fmt])
+            for grid, depth in DENSITY_GRIDS:
+                runs.append(["density", *params, "--grid", grid, "--depth", depth, *fmt])
         runs.append(["density", *params, "--bits", "0110"])
+        for bits, depth in DENSITY_BITS:
+            runs.append(["density", *params, "--bits", bits, "--depth", depth])
+    runs.append(["eval", "--params", "9", "9", "0", "0", "1", "--n", str(2**14000)])
+    for level in ([], ["--N", "12"]):
+        runs.append(["interval", "--params", "1", str(10**400), "0", "0", "1", "--bits", "1" * 12,
+                     *level])
+    runs.append(["eval", "--params", "1", str(10**400), "0", "0", "1", "--region", "11"])
     return runs
 
 
