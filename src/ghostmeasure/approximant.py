@@ -31,26 +31,28 @@ i.e. by their terminating bit string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from typing import Sequence, Union
 
 from .errors import DomainError
-from .sequence import AffineParams, _block_sum, _check_level, _subtree, big_sigma, eval_f, eval_region
+from .sequence import (AffineParams, _block_sum, _check_level, _make_checked, _subtree, big_sigma, eval_f,
+                       eval_region)
 from ._util import parse_bits
 
 
-@dataclass(frozen=True)
-class DyadicInterval:
+class DyadicInterval(namedtuple("DyadicInterval", "bits")):
     """E(x1..xi) = [(0.x1..xi)_2, (0.x1..xi)_2 + 2^-i), the whole torus for i=0;
     bits takes whatever parse_bits accepts and holds its 0/1 int tuple."""
 
-    bits: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "bits", parse_bits(self.bits))
+    def __new__(cls, bits=()):
+        return super().__new__(cls, parse_bits(bits))
+
+    _make = classmethod(_make_checked)
 
     @classmethod
     def from_bits(cls, bits) -> "DyadicInterval":
@@ -83,17 +85,16 @@ class DyadicInterval:
         return "".join(str(b) for b in self.bits) or "(torus)"
 
 
-@dataclass(frozen=True)
-class Approximant:
-    """Immutable level-N comb mu_N: the sequence, the level and total = Sigma(N)."""
+class Approximant(namedtuple("Approximant", "params level total")):
+    """Immutable level-N comb mu_N: the sequence, the level and total = Sigma(N).
+    It keeps a __dict__, for the cached weights."""
 
-    params: AffineParams
-    level: int
-    total: int
-
-    def __post_init__(self):
-        if self.total <= 0:
+    def __new__(cls, params: AffineParams, level: int, total: int):
+        if total <= 0:
             raise DomainError("approximant total must be positive")
+        return super().__new__(cls, params, level, total)
+
+    _make = classmethod(_make_checked)
 
     @cached_property
     def weights(self) -> tuple[int, ...]:

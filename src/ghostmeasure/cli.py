@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import itertools
 import math
 import os
 import sys
-import tempfile
 from fractions import Fraction
 
 from . import approximant, fourier, ghost, linrep, sequence
@@ -50,7 +49,7 @@ def _column(col, fmt: str) -> tuple[str, list | tuple]:
     does (float.__repr__), and `%d` an int of any size.  Any other column
     (Fraction, bool, numpy scalar, a non-finite float in JSON, mixed
     types) is formatted value by value by the per-value rule, _fmt or
-    json.dumps.
+    json.dumps (imported here and in _emit's JSON branch only).
     """
     kinds = set(map(type, col))
     kind = kinds.pop() if len(kinds) == 1 else None
@@ -65,6 +64,8 @@ def _column(col, fmt: str) -> tuple[str, list | tuple]:
     # A sum of floats is finite only if every term is.
     if kind is float and math.isfinite(sum(col)):
         return "%r", col
+    import json
+
     if kind is str:
         return "%s", list(map(json.encoder.encode_basestring_ascii, col))
     return "%s", [json.dumps(float(v) if isinstance(v, Fraction) else v) for v in col]
@@ -85,6 +86,8 @@ def _emit(header: list[str], cols, fmt: str, out) -> None:
         out.write(",".join(header) + "\n")
         out.writelines(map((",".join(convs) + "\n").__mod__, rows))
         return
+    import json
+
     keys = [json.encoder.encode_basestring_ascii(k).replace("%", "%%") for k in header]
     record = "  {\n" + ",\n".join(f"    {k}: {c}" for k, c in zip(keys, convs)) + "\n  }"
     first = next(rows, None)
@@ -346,16 +349,20 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_to_file(args) -> int:
     """Run the command into a temporary file beside --out, renamed over it on success.
 
-    A failing command leaves neither a partial file nor a changed one.
+    The temporary file takes the pid and the first free counter value as its
+    name.  A failing command leaves neither a partial file nor a changed one.
     """
     target = os.path.abspath(args.out)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".ghostmeasure-", suffix=".tmp")
+    for n in itertools.count():
+        tmp = os.path.join(os.path.dirname(target), f".ghostmeasure-{os.getpid()}-{n}.tmp")
+        try:
+            # Mode 0666 less the umask, which the kernel applies: as open() would.
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            pass
     try:
         with open(fd, "w") as fh:
-            # mkstemp creates the file 0600; give it the mode open() would.
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)
             code = args.fn(args, fh)
         os.replace(tmp, target)
     except BaseException:

@@ -63,9 +63,9 @@ magnitude_sq_1b, the 2B and 2C identities) run without loading numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from ._util import int_from_env, numpy
 from .errors import DomainError, ResourceCapError
@@ -81,13 +81,10 @@ _ENV_MAX_WIENER = "GHOSTMEASURE_MAX_WIENER_LEVEL"
 TAU = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class CoeffValue:
-    """A coefficient value plus the truncation error bound of the product."""
+class CoeffValue(namedtuple("CoeffValue", "value tail_bound depth")):
+    """A coefficient value plus the truncation error bound and depth of the product."""
 
-    value: complex
-    tail_bound: float
-    depth: int
+    __slots__ = ()
 
 
 def _v2(t: int) -> int:
@@ -144,10 +141,10 @@ _SCALE_RANGE = "the indicator sum leaves the double range (2^(n-1)/A^n for n up 
 _TERM_RANGE = "the indicator sum leaves the double range (2^(n-1) (b0 + b1 e_n) before its division by A^n)"
 
 
-@dataclass(frozen=True, eq=False)
-class CoeffTable:
+class CoeffTable(namedtuple("CoeffTable", "re im abs tail_bound depth")):
     """Coefficients of a batch of t as float64 arrays: value parts, modulus and
-    truncation bound, with the int64 product depth of each t.
+    truncation bound, with the int64 product depth of each t.  A table
+    equals only itself, as its fields are arrays.
 
     Limit tables carry coeff_limit's tail_bound and depth (0 and 0 where no
     product is truncated).  Level-N tables carry the rounding bound
@@ -156,24 +153,18 @@ class CoeffTable:
     throughout.
     """
 
-    re: np.ndarray
-    im: np.ndarray
-    abs: np.ndarray
-    tail_bound: np.ndarray
-    depth: np.ndarray
+    __slots__ = ()
+    __ne__, __hash__ = object.__ne__, object.__hash__
+
+    def __eq__(self, other):
+        return self is other
 
 
-class _Floats(NamedTuple):
+class _Floats(namedtuple("_Floats", "a0 a1 a b0 b1 f1 scales")):
     """The parameters as doubles, and (2^(n-1), A^n) for n = 1..kmax, or
-    (2^(n-1)/A^n, 1.0) where either leaves the double range."""
+    (2^(n-1)/A^n, 1.0) where either leaves the double range, in a list."""
 
-    a0: float
-    a1: float
-    a: float
-    b0: float
-    b1: float
-    f1: float
-    scales: list
+    __slots__ = ()
 
 
 def _doubles(values: Iterable, message: str = _PARAM_RANGE) -> list[float]:

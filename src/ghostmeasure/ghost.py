@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -71,11 +71,11 @@ class MeasureKind(enum.Enum):
     PURE_POINT = "pure-point"
 
 
-@dataclass(frozen=True)
-class LebesgueClass:
-    kind: MeasureKind
-    case: str
-    support: Optional[str] = None  # for pure point: "delta-at-0" | "dyadic-rationals"
+class LebesgueClass(namedtuple("LebesgueClass", "kind case support", defaults=(None,))):
+    """A MeasureKind, the case label, and for pure point the support:
+    "delta-at-0" or "dyadic-rationals" (None otherwise)."""
+
+    __slots__ = ()
 
     def describe(self) -> str:
         if self.kind is MeasureKind.PURE_POINT:
@@ -84,21 +84,16 @@ class LebesgueClass:
         return self.kind.value
 
 
-@dataclass(frozen=True)
-class ConcentrationThreshold:
+class ConcentrationThreshold(namedtuple("ConcentrationThreshold", "lambda_cap minority_digit")):
     """Minority-digit density cutoff Lambda in the singular continuous cases."""
 
-    lambda_cap: float
-    minority_digit: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DensityEstimate:
-    """Truncated density value with its exact tail bound."""
+class DensityEstimate(namedtuple("DensityEstimate", "value tail_bound exact")):
+    """Truncated density value with its tail bound, and the truncation as a Fraction."""
 
-    value: float
-    tail_bound: float
-    exact: Fraction  # the depth-d truncation as an exact rational
+    __slots__ = ()
 
 
 _1A = LebesgueClass(MeasureKind.LEBESGUE, "1A")

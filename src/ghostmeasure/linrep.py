@@ -33,7 +33,7 @@ the singular continuous cases, 0 for the pure-point ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 from .sequence import AffineParams
@@ -41,20 +41,17 @@ from .sequence import AffineParams
 Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class LinearRepresentation:
-    dim: int
-    c0: Matrix
-    c1: Matrix
-    left: tuple[int, ...]
-    right: tuple[int, ...]
+class LinearRepresentation(namedtuple("LinearRepresentation", "dim c0 c1 left right")):
+    """The dimension, the digit matrices c0 and c1 (Matrix) and the left and
+    right vectors (int tuples)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SpectralDiagnostic:
-    rho: int
-    rho_star: int
-    log_ratio: float
+class SpectralDiagnostic(namedtuple("SpectralDiagnostic", "rho rho_star log_ratio")):
+    """The int growth rates rho and rho_star and log2(rho / rho_star)."""
+
+    __slots__ = ()
 
 
 def build_linrep(params: AffineParams) -> LinearRepresentation:

@@ -33,9 +33,9 @@ feeds the chunks of _below (regions, density grids) and the cdf's prefix sums.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Iterator
 
 from ._util import int_from_env
 from .errors import CatalogError, DomainError, ResourceCapError
@@ -49,23 +49,26 @@ def max_region_level() -> int:
     return int_from_env(_ENV_MAX_LEVEL, DEFAULT_MAX_LEVEL)
 
 
-@dataclass(frozen=True)
-class AffineParams:
-    """Coefficient tuple (A0, A1, b0, b1) plus the initial value f(1)."""
+def _make_checked(cls, iterable):
+    """A record's _make, and so its _replace, through __new__, which checks the fields."""
+    return cls(*iterable)
 
-    a0: int
-    a1: int
-    b0: int
-    b1: int
-    f1: int = 1
 
-    def __post_init__(self):
-        for name in ("a0", "a1", "b0", "b1", "f1"):
-            v = getattr(self, name)
+class AffineParams(namedtuple("AffineParams", "a0 a1 b0 b1 f1")):
+    """Coefficients (A0, A1, b0, b1) plus the initial value f(1), non-negative ints."""
+
+    __slots__ = ()
+
+    def __new__(cls, a0: int, a1: int, b0: int, b1: int, f1: int = 1):
+        self = super().__new__(cls, a0, a1, b0, b1, f1)
+        for name, v in zip(cls._fields, self):
             if not isinstance(v, int) or v < 0:
                 raise DomainError(f"{name} must be a non-negative integer, got {v!r}")
-        if self.a0 == self.a1 == self.b0 == self.b1 == 0:
+        if a0 == a1 == b0 == b1 == 0:
             raise DomainError("coefficients A0, A1, b0, b1 must not all be zero")
+        return self
+
+    _make = classmethod(_make_checked)
 
     @property
     def a(self) -> int:
@@ -100,8 +103,7 @@ def eval_f(params: AffineParams, n: int) -> int:
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    a0, a1, b0, b1 = params.a0, params.a1, params.b0, params.b1
-    v = params.f1
+    a0, a1, b0, b1, v = params
     for i in range(n.bit_length() - 2, -1, -1):
         if (n >> i) & 1:
             v = a1 * v + b1
@@ -193,20 +195,16 @@ def sigma_inf(params: AffineParams) -> Fraction:
 # Named example catalog
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    """A named sequence plus the facts used as test fixtures.
+class CatalogEntry(namedtuple("CatalogEntry", "name params summary case kind sigma_closed",
+                              defaults=(None,))):
+    """A named sequence (name, AffineParams, summary) plus the facts used as
+    test fixtures.
 
     sigma_closed, when present, is the known closed form of Sigma(N) for
     N >= 1; case/kind are the expected classification.
     """
 
-    name: str
-    params: AffineParams
-    summary: str
-    case: str
-    kind: str
-    sigma_closed: Optional[Callable[[int], int]] = field(default=None, compare=False)
+    __slots__ = ()
 
 
 _CATALOG: dict[str, CatalogEntry] = {}

@@ -250,6 +250,35 @@ def test_import_leaves_numpy_fft_unloaded():
     assert run_fresh(code).split() == ["False", "False"]
 
 
+# The modules of WATCHED that `import ghostmeasure.cli` adds to a fresh
+# interpreter, beyond what the bare interpreter (and site) already loaded;
+# then whether json is loaded after a CSV run to --out sys.argv[1], and after
+# a JSON run.
+ADDED_MODULES_PROBE = """
+import contextlib, io, sys
+WATCHED = {"dataclasses", "inspect", "json", "tempfile"}
+before = set(sys.modules)
+import ghostmeasure.cli
+seen = [sorted(WATCHED & (set(sys.modules) - before))]
+cdf = ["cdf", "--catalog", "identity", "--N", "4", "--grid", "4"]
+with contextlib.redirect_stdout(io.StringIO()):
+    seen.append(ghostmeasure.cli.main([*cdf, "--out", sys.argv[1]]))
+    seen.append("json" in set(sys.modules) - before)
+    seen.append(ghostmeasure.cli.main([*cdf, "--format", "json"]))
+seen.append("json" in sys.modules)
+print(seen)
+"""
+
+
+def test_import_and_csv_runs_load_no_record_or_json_modules(tmp_path):
+    # The records are named tuples: dataclasses (and inspect, which it
+    # imports) stay unloaded; json loads for the first JSON table only, and
+    # --out makes its temporary file without tempfile.
+    out = tmp_path / "g.csv"
+    assert run_fresh(ADDED_MODULES_PROBE, str(out)).split("\n")[0] == "[[], 0, False, 0, True]"
+    assert out.read_text().startswith("x,F\n")
+
+
 # After `import ghostmeasure`, `import ghostmeasure.cli` and each argv in turn,
 # print whether numpy is loaded, with the argv's exit code and whether
 # numpy.fft is loaded.
@@ -416,6 +445,20 @@ def test_parameter_beyond_double_range_exit_code(capsys):
         assert code == 2 and out == "", argv
         assert err == ("domain error: the indicator sum leaves the double range "
                        "(2^(n-1) (b0 + b1 e_n) before its division by A^n)\n"), argv
+
+
+def test_level_modes_require_N(capsys):
+    for mode in ("direct", "recursive"):
+        code, out, err = run_cli(capsys, "fourier", "--catalog", "gould_G", "--mode", mode, "--t", "1")
+        assert (code, out, err) == (2, "", f"domain error: --mode {mode} requires --N\n")
+
+
+def test_malformed_cap_variable_exit_code(capsys, monkeypatch):
+    for var, argv in (("GHOSTMEASURE_MAX_LEVEL", ["cdf", "--catalog", "identity", "--N", "4"]),
+                      ("GHOSTMEASURE_MAX_WIENER_LEVEL", ["wiener", "--catalog", "gould_G", "--n-max", "4"])):
+        monkeypatch.setenv(var, "abc")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (3, "", f"resource cap: {var} must be an integer, got 'abc'\n")
 
 
 def test_wiener_table(capsys):
@@ -606,6 +649,24 @@ def test_out_file_gets_the_mode_open_would_give(tmp_path, capsys):
         os.umask(umask)
     assert code == 0
     assert out_path.stat().st_mode & 0o777 == 0o640
+
+
+def test_out_file_leaves_the_process_umask_alone(tmp_path, capsys, monkeypatch):
+    # os.umask both reads and sets the mask of the whole process: a thread
+    # creating a file in between would get umask 0.  --out never calls it,
+    # and steps past a temporary name that is taken.
+    def umask(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", umask)
+    taken = tmp_path / f".ghostmeasure-{os.getpid()}-0.tmp"
+    taken.write_bytes(b"taken\n")
+    out_path = tmp_path / "g.csv"
+    code, _, _ = run_cli(capsys, "cdf", "--catalog", "gould_G", "--N", "4", "--grid", "4",
+                         "--out", str(out_path))
+    assert code == 0 and out_path.read_text().startswith("x,F\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "g.csv"]
+    assert taken.read_bytes() == b"taken\n"
 
 
 def test_parser_is_built_once():

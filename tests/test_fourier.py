@@ -490,6 +490,19 @@ def test_parameters_beyond_double_range_are_domain_errors():
             call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: magnitude_sq_1b(AffineParams(1, 2, 0, 0, 1), 1, 0), "depth must be >= 1"),
+    (lambda: kappa_1b(AffineParams(1, 2, 0, 0, 1), 1), "grid_size must be >= 2"),
+    (lambda: coefficient_bracket(AffineParams(1, 2, 1, 0, 1), -1), "a_val must be >= 0"),
+    (lambda: domination_constant(AffineParams(1, 2, 0, 0, 1)), "domination constant requires case 2C"),
+    (lambda: wiener_profile(AffineParams(1, 2, 0, 0, 1), [-1]), "Wiener levels must be >= 0"),
+], ids=["magnitude_depth", "kappa_grid", "bracket_a", "domination_1b", "wiener_level"])
+def test_arguments_out_of_domain_are_domain_errors(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_2c_bracket_identity():
     # mu^(2^a b) = nu^(2^a b) * bracket(a) / sigma_inf, exactly in structure
     p = AffineParams(1, 2, 1, 0, 1)

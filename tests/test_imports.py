@@ -1,5 +1,7 @@
-"""Import lints: every name a module imports is used in it, and numpy is
-imported only by _util.numpy, the accessor that loads it on first use.  An
+"""Import lints: every name a module imports is used in it; numpy is
+imported only by _util.numpy, the accessor that loads it on first use; json
+only by cli's JSON branches; dataclasses by no module (the records are named
+tuples, and dataclasses would load inspect and ast at import).  An
 FFT lint: no module imports numpy.fft or reads an `fft` attribute (the
 comb's FFT is a test oracle only).  A trig lint: numpy's cos and sin appear only in fourier._phases, the
 coefficient kernel's one phase source.  A dead-name lint: every module-level
@@ -48,9 +50,10 @@ def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
 
 
-def numpy_imports(source: str) -> list[str]:
-    """Where source imports numpy outside `if TYPE_CHECKING:`: "module" for an
-    import that runs when the module loads, else the enclosing function's name."""
+def imports_of(source: str, module: str) -> list[str]:
+    """Where source imports `module` (or a submodule of it) outside `if
+    TYPE_CHECKING:`: "module" for an import that runs when the module loads,
+    else the enclosing function's name."""
     found = []
 
     def visit(nodes, where):
@@ -61,7 +64,7 @@ def numpy_imports(source: str) -> list[str]:
                 visit(node.body, node.name)
             elif isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
                 visit(node.orelse, where)
-            elif any(m.split(".")[0] == "numpy" for m in modules):
+            elif any(m.split(".")[0] == module for m in modules):
                 found.append(where)
             else:
                 visit(ast.iter_child_nodes(node), where)
@@ -71,18 +74,36 @@ def numpy_imports(source: str) -> list[str]:
 
 
 def test_lint_finds_a_numpy_import():
-    assert numpy_imports("import os\nimport numpy as np\n") == ["module"]
+    assert imports_of("import os\nimport numpy as np\n", "numpy") == ["module"]
     planted = "try:\n    from numpy.fft import rfft\nexcept ImportError:\n    rfft = None\n"
-    assert numpy_imports(planted) == ["module"]
-    assert numpy_imports("class C:\n    import numpy\n") == ["module"]
-    assert numpy_imports("def f():\n    import numpy.fft\n    return numpy\n") == ["f"]
+    assert imports_of(planted, "numpy") == ["module"]
+    assert imports_of("class C:\n    import numpy\n", "numpy") == ["module"]
+    assert imports_of("def f():\n    import numpy.fft\n    return numpy\n", "numpy") == ["f"]
     typing_only = "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    import numpy as np\n"
-    assert numpy_imports(typing_only) == []
+    assert imports_of(typing_only, "numpy") == []
+    assert imports_of("import numpyx\n", "numpy") == []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_numpy_is_imported_only_by_the_accessor(path):
-    assert numpy_imports(path.read_text()) == (["numpy"] if path.name == "_util.py" else [])
+    assert imports_of(path.read_text(), "numpy") == (["numpy"] if path.name == "_util.py" else [])
+
+
+def test_lint_finds_a_dataclasses_or_json_import():
+    source = ("from dataclasses import dataclass\nimport json.encoder\n"
+              "def f():\n    import json\n    if True:\n        import dataclasses as dc\n")
+    assert imports_of(source, "dataclasses") == ["module", "f"]
+    assert imports_of(source, "json") == ["module", "f"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    assert imports_of(path.read_text(), "dataclasses") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_json_is_imported_only_by_the_json_branches(path):
+    assert imports_of(path.read_text(), "json") == (["_column", "_emit"] if path.name == "cli.py" else [])
 
 
 def fft_uses(source: str) -> list[int]:
