@@ -23,16 +23,9 @@ import itertools
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import approximant, fourier, ghost, linrep, sequence
 from .errors import DomainError, ResourceCapError
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (str, int)):
-        return str(v)
-    return format(float(v), ".17g")
 
 
 def _fmt_ratio(x: float) -> str:
@@ -42,33 +35,31 @@ def _fmt_ratio(x: float) -> str:
 
 def _column(col, fmt: str) -> tuple[str, list | tuple]:
     """The % conversion for one column and the values that fill it, chosen
-    from the column's value types once.
+    from the column's value type once.
 
-    A column of one plain type goes into the template as it is: `%.17g`
-    prints a float as format(x, ".17g") does, `%r` a finite float as json
-    does (float.__repr__), and `%d` an int of any size.  Any other column
-    (Fraction, bool, numpy scalar, a non-finite float in JSON, mixed
-    types) is formatted value by value by the per-value rule, _fmt or
-    json.dumps (imported here and in _emit's JSON branch only).
+    `%d` prints an int of any size (and serves an empty column); `%.17g` a
+    float as format(x, ".17g") does, and `%r` a finite float as json does
+    (float.__repr__); `%s` a str as it is in CSV, JSON-encoded once in JSON.
+    Any other column (bool, Fraction, numpy scalar, mixed types, a
+    non-finite float in JSON) raises ValueError.
     """
     kinds = set(map(type, col))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if kind is int:
+    if kinds <= {int}:
         return "%d", col
-    if fmt == "csv":
-        if kind is float:
-            return "%.17g", col
-        if kind is str:
-            return "%s", col
-        return "%s", [_fmt(v) for v in col]
-    # A sum of floats is finite only if every term is.
-    if kind is float and math.isfinite(sum(col)):
+    if kinds == {float} and fmt == "csv":
+        return "%.17g", col
+    # A finite sum means finite terms; a sum of finite terms may overflow, so
+    # a non-finite sum is checked term by term.
+    if kinds == {float} and (math.isfinite(sum(col)) or all(map(math.isfinite, col))):
         return "%r", col
-    import json
+    if kinds == {str} and fmt == "csv":
+        return "%s", col
+    if kinds == {str}:
+        import json
 
-    if kind is str:
         return "%s", list(map(json.encoder.encode_basestring_ascii, col))
-    return "%s", [json.dumps(float(v) if isinstance(v, Fraction) else v) for v in col]
+    raise ValueError(f"a {fmt} table column must hold only ints, only floats (finite in json) "
+                     f"or only strs, not {sorted(k.__name__ for k in kinds)}")
 
 
 def _emit(header: list[str], cols, fmt: str, out) -> None:
@@ -76,9 +67,8 @@ def _emit(header: list[str], cols, fmt: str, out) -> None:
     CSV or JSON; no columns at all (zip(*rows) of no rows) is an empty table.
 
     Every row is one % template (see _column).  CSV is the header line and
-    one line per row, each value as _fmt gives it; JSON is byte for byte
-    json.dumps(records, indent=2) plus a newline, with a Fraction as its
-    float.
+    one line per row; JSON is byte for byte json.dumps(records, indent=2)
+    plus a newline.
     """
     convs, cols = zip(*(_column(col, fmt) for col in cols or [()] * len(header)))
     rows = zip(*cols)
@@ -224,7 +214,7 @@ def _cmd_interval(args, out) -> int:
     else:
         m = ghost.interval_measure(params, iv)
         label = "mu"
-    out.write(f"{label}(E_{iv}) = {m.numerator}/{m.denominator} = {_fmt(m)}\n")
+    out.write(f"{label}(E_{iv}) = {m.numerator}/{m.denominator} = {float(m):.17g}\n")
     return 0
 
 

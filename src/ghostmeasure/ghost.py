@@ -108,17 +108,18 @@ _2D = LebesgueClass(MeasureKind.PURE_POINT, "2D", "dyadic-rationals")
 def classify(params: AffineParams) -> LebesgueClass:
     """Case label and Lebesgue type of the limit measure (total on valid params);
     one of the seven constants above, shared by every call."""
-    if params.homogeneous:
-        if params.a0 == params.a1:
+    a0, a1, b0, b1, _ = params
+    if b0 == b1 == 0:
+        if a0 == a1:
             return _1A
-        if params.a0 > 0 and params.a1 > 0:
+        if a0 > 0 and a1 > 0:
             return _1B
         return _1C
-    if params.a <= 2:
+    if a0 + a1 <= 2:
         return _2A
-    if params.a0 == params.a1:
+    if a0 == a1:
         return _2B
-    if params.a0 > 0 and params.a1 > 0:
+    if a0 > 0 and a1 > 0:
         return _2C
     return _2D
 
@@ -149,9 +150,10 @@ def interval_measure(params: AffineParams, interval: DyadicInterval) -> Fraction
     if pq is None:
         return interval.length
     p, q = pq
-    a = params.a
+    a0, a1, b0, b1, _ = params
+    a = a0 + a1
     f_lead = eval_f(params, (1 << interval.depth) | interval.index)
-    return Fraction((f_lead * (a - 2) + params.b) * q, (a - 2) * p * a**interval.depth)
+    return Fraction((f_lead * (a - 2) + b0 + b1) * q, (a - 2) * p * a**interval.depth)
 
 
 def _require_2b(params: AffineParams) -> None:
@@ -269,12 +271,11 @@ def _ratio_fold(params: AffineParams, bits) -> Iterator[tuple[int, int]]:
         yield from ((1, 1) for _ in xs)
         return
     p, q = pq
-    a, b = params.a, params.b
-    v = params.f1
+    a0, a1, b0, b1, v = params
+    a, b = a0 + a1, b0 + b1
     den = (a - 2) * p
     for j, x in enumerate(xs, start=1):
-        ab, bb = params.branch(x)
-        v = ab * v + bb
+        v = a1 * v + b1 if x else a0 * v + b0
         den *= a
         yield (v * (a - 2) + b) * q << j, den
 

@@ -173,32 +173,42 @@ def test_level_table_within_bounds_of_comb_fft(p):
         assert (err <= tab.tail_bound + fft_bound).all(), (level, err.max())
 
 
+def region_step(p, region):
+    """Region N+1 from region N by the Python-int list recurrence, independent
+    of the sub-tree table."""
+    nxt = [0] * (2 * len(region))
+    nxt[0::2] = [p.a0 * v + p.b0 for v in region]
+    nxt[1::2] = [p.a1 * v + p.b1 for v in region]
+    return nxt
+
+
 def region_oracle(p, level):
-    """Region N by the Python-int list recurrence, independent of the sub-tree table."""
     region = [p.f1]
     for _ in range(level):
-        nxt = [0] * (2 * len(region))
-        nxt[0::2] = [p.a0 * v + p.b0 for v in region]
-        nxt[1::2] = [p.a1 * v + p.b1 for v in region]
-        region = nxt
+        region = region_step(p, region)
     return region
 
 
-def test_region_dtype_boundary():
+def test_region_values_past_2_63_are_exact_ints():
     # Values that reach 2^63 - 1 exactly, pass it by 2^20 - 1, and pass it
     # from N = 20 on: every atom is an exact Python int either way (an int64
     # sum(w[lo:hi]) would wrap silently).
     below = AffineParams(2, 2, 0, 1, 2**43 - 1)  # f(2^21 - 1) = 2^63 - 1
     above = AffineParams(2, 2, 0, 1, 2**43)      # f(2^21 - 1) = 2^63 + 2^20 - 1
     big = AffineParams(6, 9, 1, 2, 1)            # past 2^63 from N = 20 on
+    top = {}
     for p in (below, above, big):
+        exact = [p.f1]
         for level in range(21):
-            exact = region_oracle(p, level)
-            assert eval_region(p, level) == exact, (p, level)
-        for values in (eval_region(p, 20), build_comb(p, 20).weights):
+            if level:
+                exact = region_step(p, exact)
+            region = eval_region(p, level)
+            assert region == exact, (p, level)
+        for values in (region, build_comb(p, 20).weights):
             assert list(values) == exact and all(type(x) is int for x in values)
-    assert max(eval_region(below, 20)) == 2**63 - 1
-    assert max(eval_region(above, 20)) == 2**63 + 2**20 - 1
+        top[p] = max(region)
+    assert top[below] == 2**63 - 1
+    assert top[above] == 2**63 + 2**20 - 1
     wide = AffineParams(2**63, 1, 1, 0, 0)  # f(1) = 0: a coefficient, not a value, passes 2^63
     for level in range(4):
         assert eval_region(wide, level) == region_oracle(wide, level)
@@ -340,7 +350,8 @@ def test_closed_forms_match_materialised_comb():
             comb = build_comb(p, level)
             w, total, size = comb.weights, comb.total, 1 << level
             assert total == sum(w)
-            brute = [Fraction(sum(w[: idx + 1]), total) for idx in range(size)]
+            prefix = [0, *itertools.accumulate(w)]  # prefix[i] = sum(w[:i])
+            brute = [Fraction(prefix[idx + 1], total) for idx in range(size)]
             assert [cdf(comb, Fraction(idx, size)) for idx in range(size)] == brute
             assert cdf(comb, 1) == 1
             for grid in (2, 3, 7, 30):
@@ -352,7 +363,7 @@ def test_closed_forms_match_materialised_comb():
                     e = DyadicInterval.from_bits(format(idx, f"0{depth}b") if depth else "")
                     lo = idx << (level - depth)
                     hi = lo + (1 << (level - depth))
-                    assert interval_mass(comb, e) == Fraction(sum(w[lo:hi]), total)
+                    assert interval_mass(comb, e) == Fraction(prefix[hi] - prefix[lo], total)
 
 
 def test_comb_functionals_do_not_materialise_atoms(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Linear representations, spectral diagnostics, JSR certificate."""
 
+import itertools
 import math
 
 import pytest
@@ -145,3 +146,25 @@ def test_log_ratio_groups_match_types_on_sweep():
                         assert 0.0 < r < 1.0, p
                     else:
                         assert r == 0.0, p
+
+
+LOG_RATIO_COEFFS = [*range(10), 2**40, 2**80, 10**30, 3**50]
+
+
+def test_log_ratio_within_stated_bound_of_mpmath():
+    # rho/rho* lies in [1, 2], so log_ratio lies in [0, 1].  The correctly
+    # rounded int/int quotient adds at most u/ln 2 (u = 2^-53) and a log2
+    # within 1 ulp at most u more: below 2.5 u, absolute.
+    mpmath = pytest.importorskip("mpmath")
+    ratios = {}
+    for a0, a1, b0, b1 in itertools.product(LOG_RATIO_COEFFS, repeat=4):
+        if a0 == a1 == b0 == b1 == 0:
+            continue
+        d = spectral_diagnostic(AffineParams(a0, a1, b0, b1, 1))
+        assert d.rho_star <= d.rho <= 2 * d.rho_star and 0.0 <= d.log_ratio <= 1.0
+        ratios[d.rho, d.rho_star] = d.log_ratio
+    assert len(ratios) == 104  # distinct (rho, rho*) pairs of the 38,415 sets
+    with mpmath.workdps(60):
+        for (rho, rho_star), r in ratios.items():
+            err = abs(r - mpmath.log(mpmath.mpf(rho) / rho_star, 2))
+            assert err <= 2.5 * 2**-53, (rho, rho_star, r)

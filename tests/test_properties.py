@@ -4,8 +4,9 @@ folds, the shared cdf descent equals prefix sums of the atoms, the
 batched coefficient kernel equals the scalar complex
 loops bit for bit, level-N coefficients lie within their rounding bound
 of comb sums, the dyadic and 2D closed forms equal their Fraction
-chains, 2D atoms exhaust the mass, the CLI exit-code contract holds, and
-the row-template table writer prints the bytes of the per-value writer.
+chains, 2D atoms exhaust the mass, the CLI exit-code contract holds and its
+JSON tables are strict JSON, and the row-template table writer prints the
+bytes of a per-value writer or refuses the column.
 
 Hypothesis runs derandomized with small bounded strategies, so every run
 draws the same examples and the suite's time barely moves.
@@ -53,7 +54,7 @@ from ghostmeasure import (
     wiener_profile,
 )
 from ghostmeasure.approximant import _masses_through
-from ghostmeasure.cli import _emit, _fmt, main
+from ghostmeasure.cli import _emit, main
 from ghostmeasure.fourier import _BLOCK, TAU, _level_bound, _phases, _unit_phase, _v2
 from ghostmeasure.ghost import _density_grid
 from ghostmeasure.sequence import _block_sum
@@ -446,7 +447,8 @@ def test_closed_forms_raise_where_the_fraction_chains_do(p, bits, n):
 
 
 # ----------------------------------------------------------------------
-# CLI fuzz: every invocation exits 0, 2 (domain), 3 (resource cap) or 4 (I/O)
+# CLI fuzz: every invocation exits 0, 2 (domain), 3 (resource cap) or 4 (I/O),
+# and a JSON table that exits 0 is strict JSON
 # ----------------------------------------------------------------------
 
 EXTREME_INT = st.one_of(
@@ -464,10 +466,16 @@ def _ints(*values) -> st.SearchStrategy:
     return st.one_of(SMALL, *map(st.just, values)).map(str)
 
 
+HUGE = str(10**400)
+# Sets of case 2B, 2D and 2C with a 10^400 coefficient: exact values past
+# CPython's 4,300-digit int-to-str cap.
+HUGE_PARAMS = [[HUGE, HUGE, "0", "1", "1"], [HUGE, "0", "0", "1", "1"], ["1", HUGE, "0", "1", "1"]]
 SOURCE = st.one_of(
     st.sampled_from(catalog_names()).map(lambda name: ["--catalog", name]),
     st.lists(st.integers(-1, 4), min_size=5, max_size=5).map(lambda p: ["--params", *map(str, p)]),
+    st.sampled_from(HUGE_PARAMS).map(lambda p: ["--params", *p]),
 )
+TABLES = {"cdf", "fourier", "wiener", "density", "points", "jsr-table"}
 
 
 @st.composite
@@ -486,11 +494,15 @@ def argv(draw) -> list[str]:
     cmd = draw(st.sampled_from(["eval", "classify", "cdf", "fourier", "wiener", "density",
                                 "interval", "points", "jsr-table"]))
     if cmd == "jsr-table":
-        return [cmd, "--sweep", draw(st.integers(-3, 3).map(str))]
-    args = [cmd, *draw(SOURCE)]
+        args = [cmd, "--sweep", draw(st.integers(-3, 3).map(str))]
+    else:
+        args = [cmd, *draw(SOURCE)]
     if cmd == "eval":
         if draw(st.booleans()):
-            args += ["--n", str(draw(EXTREME_INT))]
+            # f(n) gains up to 400 digits per binary digit of n at a 10^400
+            # coefficient, and printing is quadratic in the digit count: small n.
+            small = st.one_of(st.integers(-300, 300), st.just(2**12 - 1))  # 4,400 digits
+            args += ["--n", str(draw(small if HUGE in args else EXTREME_INT))]
         else:
             args += ["--region", draw(_ints(27, 40))]
     elif cmd == "cdf":
@@ -514,15 +526,24 @@ def argv(draw) -> list[str]:
             args += ["--N", draw(_ints(26, 27, 30))]
     elif cmd == "points":
         args += ["--nmax", draw(st.integers(-5, 60).map(str))]
+    if cmd in TABLES:
+        args += draw(st.sampled_from([[], ["--format", "json"]]))
     return args
 
 
-def _exit_code(argv_: list[str]) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+def _run(argv_: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of one in-process CLI run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return main(argv_)
+            code = main(argv_)
         except SystemExit as exc:  # argparse rejects the argv
-            return exc.code
+            code = exc.code
+    return code, out.getvalue()
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} in a JSON table")
 
 
 @FUZZ
@@ -531,66 +552,91 @@ def _exit_code(argv_: list[str]) -> int:
           "--t", str(2**1000)])
 @example(["fourier", "--params", "3", "5", "1", "1", "1", "--mode", "limit", "--tol", "1e-3",
           "--t", str(2**400)])
+@example(["eval", "--params", "1", HUGE, "0", "1", "1", "--n", str(2**12 - 1)])
+@example(["cdf", "--catalog", "cantor", "--N", "8", "--grid", "100", "--format", "json"])
+@example(["wiener", "--catalog", "gould_G", "--n-max", "8", "--format", "json"])
+@example(["density", "--params", HUGE, HUGE, "0", "1", "1", "--grid", "64", "--depth", "80",
+          "--format", "json"])
+@example(["points", "--params", HUGE, "0", "0", "1", "1", "--nmax", "60", "--format", "json"])
 def test_cli_exit_codes(argv_):
-    assert _exit_code(argv_) in (0, 2, 3, 4), argv_
+    code, out = _run(argv_)
+    assert code in (0, 2, 3, 4), argv_
+    if code == 0 and argv_[-2:] == ["--format", "json"]:
+        assert isinstance(json.loads(out, parse_constant=_refuse_constant), list), argv_
 
 
 # ----------------------------------------------------------------------
-# Table writer against the per-value writer it replaced
+# Table writer against a per-value writer
 # ----------------------------------------------------------------------
 
 def emit_oracle(header: list[str], rows: list[tuple], fmt: str) -> str:
-    """The table as the per-value writer printed it: json.dumps of the
-    records (a Fraction as its float), or each value through _fmt."""
+    """The table as a per-value writer prints it: json.dumps of the records,
+    or each value through str (int, str) or format(x, ".17g") (float).  A
+    Fraction (the exact rows of the table oracles below) stands for its float."""
+    rows = [[float(v) if isinstance(v, Fraction) else v for v in row] for row in rows]
     if fmt == "json":
-        records = [dict(zip(header, [float(v) if isinstance(v, Fraction) else v for v in row]))
-                   for row in rows]
-        return json.dumps(records, indent=2) + "\n"
-    return ",".join(header) + "\n" + "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+        return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    cells = [",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row)
+             for row in rows]
+    return "".join(line + "\n" for line in [",".join(header), *cells])
 
 
-EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.0**-1070,
-                               2.2250738585072014e-308, 2.0**53 + 2, 2.0**53 - 1,
-                               float(2**53 + 1), sys.float_info.max, -sys.float_info.max, 0.1])
-CELL_FLOATS = st.one_of(EDGE_FLOATS, st.floats())
+def emit_refuses(cols: list[list], fmt: str) -> bool:
+    """The writer's contract: each column holds only ints, only floats or
+    only strs, and a JSON table no non-finite float."""
+    kinds = [set(map(type, col)) for col in cols]
+    floats = [v for col in cols for v in col if type(v) is float]
+    return (any(len(k) > 1 or not k <= {int, float, str} for k in kinds)
+            or fmt == "json" and not all(map(math.isfinite, floats)))
+
+
+FINITE_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 2.0**-1070, 2.2250738585072014e-308, 2.0**53 + 2,
+                     2.0**53 - 1, float(2**53 + 1), sys.float_info.max, -sys.float_info.max, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False))
+CELL_FLOATS = st.one_of(FINITE_FLOATS, st.sampled_from([math.nan, math.inf, -math.inf]), st.floats())
 CELL_INTS = st.one_of(st.integers(), st.sampled_from([2**53 + 1, 2**63 - 1, 2**63, -(2**63) - 1,
-                                                     2**100, -(2**100)]))
-CELL_FRACTIONS = st.one_of(st.fractions(-(10**6), 10**6),
-                           st.sampled_from([Fraction(1, 3), Fraction(2**1000, 3), Fraction(-1, 3**400)]))
-CELL_NUMPY = st.one_of(EDGE_FLOATS, st.floats()).map(np.float64)
+                                                     2**100, -(2**100), 10**400]))
 CELL_STRINGS = st.one_of(st.text(max_size=6),
                          st.sampled_from(['"', "\\", 'a"b\\c', "\u00e9", "\u2028", "\U0001f600",
                                           "%", "%s", "%(x)d", ",", "\n", "\x00"]))
-CELLS = [CELL_FLOATS, CELL_INTS, st.booleans(), CELL_FRACTIONS, CELL_NUMPY, CELL_STRINGS]
 
 
 @st.composite
-def tables(draw) -> tuple[list[str], list[list]]:
-    """A header of 1-4 distinct keys and as many columns of 0-6 values, each
-    column of one kind of cell or a mix of all kinds."""
+def tables(draw) -> tuple[list[str], list[list], str]:
+    """A format, a header of 1-4 distinct keys and as many columns of 0-6
+    values, each column all ints, all strs or all floats (finite in JSON)."""
+    fmt = draw(st.sampled_from(["csv", "json"]))
     header = draw(st.lists(st.one_of(CELL_STRINGS, st.sampled_from(["t", "re", "a%b", 'k"'])),
                            min_size=1, max_size=4, unique=True))
     n = draw(st.sampled_from([0, 1, 2, 6]))
-    cols = []
-    for _ in header:
-        cell = draw(st.sampled_from([*CELLS, st.one_of(*CELLS)]))
-        cols.append(draw(st.lists(cell, min_size=n, max_size=n)))
-    return header, cols
+    kinds = [CELL_INTS, CELL_STRINGS, FINITE_FLOATS if fmt == "json" else CELL_FLOATS]
+    cols = [draw(st.lists(draw(st.sampled_from(kinds)), min_size=n, max_size=n)) for _ in header]
+    return header, cols, fmt
 
 
 @PROPERTY
 @given(tables())
-@example((["t", "re"], [[-(2**100), 2**63 - 1], [math.nan, -0.0]]))
-@example((["x"], [[True, False]]))
-@example((["x", "y"], [[], []]))
-@example((["x", "y"], []))  # zip(*rows) of no rows
+@example((["t", "re"], [[-(2**100), 2**63 - 1], [math.nan, -0.0]], "csv"))
+@example((["t", "re"], [[-(2**100), 10**400], [5e-324, -0.0]], "json"))
+@example((["x"], [[sys.float_info.max, sys.float_info.max]], "json"))  # the sum overflows
+@example((["x", "y"], [[], []], "json"))
+@example((["x", "y"], [], "csv"))  # zip(*rows) of no rows
+@example((["x"], [[1, 2.0]], "csv"))  # refused: a mixed column
+@example((["x"], [["1", 2]], "csv"))  # refused: a mixed column
+@example((["x"], [[True, False]], "json"))  # refused: a bool column
+@example((["x"], [[Fraction(1, 3)]], "csv"))  # refused: a Fraction column
+@example((["x", "y"], [[1, 2], [1.0, math.inf]], "json"))  # refused: inf in JSON
 def test_emit_matches_per_value_writer(table):
-    header, cols = table
-    rows = list(zip(*cols))
-    for fmt in ("csv", "json"):
-        out = io.StringIO()
-        _emit(header, cols, fmt, out)
-        assert out.getvalue() == emit_oracle(header, rows, fmt), fmt
+    header, cols, fmt = table
+    out = io.StringIO()
+    if emit_refuses(cols, fmt):
+        with pytest.raises(ValueError):
+            _emit(header, cols, fmt, out)
+        assert out.getvalue() == ""
+        return
+    _emit(header, cols, fmt, out)
+    assert out.getvalue() == emit_oracle(header, list(zip(*cols)), fmt)
 
 
 def cli_output(argv_: list[str]) -> str:

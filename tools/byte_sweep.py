@@ -30,7 +30,13 @@ path (depth above, below and equal to the grid's width, and depth 0), and
 `--bits` empty, shorter than, equal to and longer than `--depth`.  Values
 past CPython's 4,300-digit int-to-str cap are printed by `eval --n`,
 `eval --region 11` and `interval` (limit and `--N 12`) with a 10^400
-parameter.  `--argvs` replaces the list with a JSON list of argv lists.
+parameter.  In CSV and JSON, it also runs `points` over four case-2D sets
+(2^80 among them) at `--nmax` 0, 1, 10 and 300, `jsr-table` at `--sweep` 0
+(an empty table), 1, 3 and 9, one-row `density --bits` tables over three
+case-2B sets at depths 0 to 64, `wiener` with `--n-min` equal to
+`--n-max`, and `fourier --t 0`; and `interval` and `classify`, each with
+and without `--out`.  `--argvs` replaces the list with a JSON list of argv
+lists.
 
 Some runs are expected mismatches against older trees: A = 0 with
 b0 = 10^400 at N = 3 (exit 1 with `OverflowError` where the A = 0 branch
@@ -143,10 +149,23 @@ DENSITY_PARAMS = [
 ]
 DENSITY_GRIDS = [("64", "10"), ("256", "64"), ("64", "3"), ("64", "6"), ("8", "0")]
 DENSITY_BITS = [("", "0"), ("", "5"), ("0110", "4"), ("0110", "9"), ("011011101", "4")]
+# Case 2D sets for `points`, both orientations, f(1) = 0 and 2^80 among them.
+POINTS_PARAMS = [
+    ["--params", "3", "0", "0", "1", "1"], ["--params", "0", "3", "0", "1", "1"],
+    ["--params", "5", "0", "2", "3", "0"], ["--params", BIG, "0", "0", "1", "1"],
+]
+# One-row `density --bits` tables: depth 0, shorter and longer than the bits.
+DENSITY_BITS_TABLES = [("0110", "0"), ("0110", "1"), ("", "20"), ("011011101", "64")]
+INTERVALS = [["--params", "2", "2", "0", "1", "1", "--bits", "1"],
+             ["--catalog", "gould_G", "--bits", "0110"],
+             ["--params", "2", "2", "0", "1", "1", "--bits", "01", "--N", "6"]]
+CLASSIFY_PARAMS = [["--catalog", "gould_G"], ["--params", "3", "0", "0", "1", "1"],
+                   ["--params", "1", BIG, "0", "1", "1"]]
 
 
 def sweep() -> list[list[str]]:
-    """The README examples, then the eval --region, cdf, fourier, wiener and density runs."""
+    """The README examples, then the eval --region, cdf, fourier, wiener and
+    density runs, then the points, jsr-table, interval and classify runs."""
     runs = list(README)
     for params in CDF_PARAMS:
         for level in ("0", "1", "2", "5", "12", "13"):
@@ -221,6 +240,25 @@ def sweep() -> list[list[str]]:
         runs.append(["interval", "--params", "1", str(10**400), "0", "0", "1", "--bits", "1" * 12,
                      *level])
     runs.append(["eval", "--params", "1", str(10**400), "0", "0", "1", "--region", "11"])
+    for fmt in FORMATS:
+        for params in POINTS_PARAMS:
+            for n_max in ("0", "1", "10", "300"):
+                runs.append(["points", *params, "--nmax", n_max, *fmt])
+        for size in ("0", "1", "3", "9"):
+            runs.append(["jsr-table", "--sweep", size, *fmt])
+        for params in (DENSITY_PARAMS[0], DENSITY_PARAMS[1], DENSITY_PARAMS[3]):  # case 2B
+            for bits, depth in DENSITY_BITS_TABLES:
+                runs.append(["density", *params, "--bits", bits, "--depth", depth, *fmt])
+        for params in (["--catalog", "gould_G"], ["--params", "1", "2", "0", "1", "1"]):
+            for level in ("0", "5"):
+                runs.append(["wiener", *params, "--n-min", level, "--n-max", level, *fmt])
+            runs.append(["fourier", *params, "--t", "0", *fmt])
+            runs.append(["fourier", *params, "--t", "0", "--mode", "recursive", "--N", "5", *fmt])
+    for out in ([], ["--out", "result.txt"]):
+        for args in INTERVALS:
+            runs.append(["interval", *args, *out])
+        for params in CLASSIFY_PARAMS:
+            runs.append(["classify", *params, *out])
     return runs
 
 
