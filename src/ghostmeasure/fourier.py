@@ -29,13 +29,22 @@ pure-point question: W_N -> sum of squared atom masses, which is zero
 exactly when the measure is continuous.
 
 Limit, recursive and Wiener tables all go through one batched kernel,
-coeff_table, in split real/imaginary float64 arrays with exactly the
-operations of CPython's complex arithmetic, so every value is bit-identical
-to the scalar formula for that t alone.  w_n depends on t only through
-t mod 2^n: for t = 2^a b with b odd, w_n(t) = w_{n-a}(b) for n > a+1, and
-the phase is exactly -1 at n = a+1 and exactly 1 below.  One per-level
-loop, _kernel, carries a depth-sorted block's products down to a bottom
-level, fed by one of two phase sources, and runs twice.  The keyed pass
+coeff_table, in split real/imaginary float64 arrays that reproduce
+CPython's complex arithmetic bit for bit, so every value equals the scalar
+formula for that t alone.  Where an operand is a known zero (the
+imaginary part of an int parameter or of an exact sign, or the 0.0/A of a
+division by a real), the operations it enters are left out wherever the
+IEEE rules show that no bit changes (_factor, _signs): a trig level of the
+kernel takes 17 array operations (5 to the phase, 6 to the factor, 6 to
+the product in place), a level of the per-t pass 15 (3 to pick its factor
+and indicator coefficient, 6 to the term, 6 to the product).  t is held
+as int64 whenever every t fits, and as Python ints otherwise.
+
+w_n depends on t only through t mod 2^n: for t = 2^a b with b odd,
+w_n(t) = w_{n-a}(b) for n > a+1, and the phase is exactly -1 at n = a+1
+and exactly 1 below.  One per-level loop, _kernel, carries a depth-sorted
+block's products down to a bottom level, fed by one of two factor
+sources, and runs twice.  The keyed pass
 runs the bare suffix products once per distinct key (b, D - a), D the
 product depth of t, from level D - a down to level 2, with the trig
 phases of _phases.  The per-t pass takes each t on from its key's product
@@ -118,12 +127,12 @@ def _unit_phase(t: int, n: int) -> complex:
 # The batched coefficient kernel
 # ----------------------------------------------------------------------
 #
-# Every coefficient is evaluated in float64 re/im arrays with exactly the
-# operations CPython's complex arithmetic performs on the scalar formula:
-# an int operand is complex(v, 0.0), a product is _Py_c_prod and a division
-# by an int is _Py_c_quot.  numpy's complex128 is not used: its multiply is
-# FMA-contracted and its division differs from CPython's, so the values
-# would not be bit-identical to the scalar formula.
+# Every coefficient is evaluated in float64 re/im arrays to the bits of
+# the operations CPython's complex arithmetic performs on the scalar
+# formula: an int operand is complex(v, 0.0), a product is _Py_c_prod and a
+# division by an int is _Py_c_quot.  numpy's complex128 is not used: its
+# multiply is FMA-contracted and its division differs from CPython's, so
+# the values would not be bit-identical to the scalar formula.
 
 # t per kernel call.  Unblocked, a table of 8192 t ran 5-10% faster, one of
 # 131071 t about 30% slower, and peak RSS grew with the table: by 2.2 MiB on
@@ -203,6 +212,17 @@ def _mul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
+def _mul_into(wr, wi, pr: np.ndarray, pi: np.ndarray) -> None:
+    """(pr + i pi) *= (wr + i wi) in place, as _Py_c_prod computes it
+    (wr pr - wi pi, wr pi + wi pr): six operations, two temporaries."""
+    np = numpy()
+    b, c = wi * pi, wr * pi
+    np.multiply(wi, pr, out=pi)
+    pi += c
+    pr *= wr
+    pr -= b
+
+
 def _div(xr, xi, d: float):
     """(xr + i xi) / complex(d, 0.0) as CPython's _Py_c_quot computes it."""
     ratio = 0.0 / d
@@ -214,14 +234,17 @@ def _phases(odd: np.ndarray):
     """The one phase source: e^{-2 pi i b/2^n} for the first m odd b at level
     n >= 2, equal to _unit_phase(b, n) bit for bit.
 
-    odd holds the odd keys as _evaluate does: int64 when every t fits,
+    odd holds the odd keys as _evaluate does: int64 when every keyed t fits,
     Python ints otherwise.  At n = 2 the phase is exactly (b mod 4) - 2
     times i, read off low = b & (2^63 - 1), an int64 for any int b.  At
     n >= 3 no odd b is a quarter point: r = b mod 2^n is low & (2^n - 1) for
-    n <= 63 and low itself for b in [0, 2^63); r/2^n is then one correctly
-    rounded scaling while r 2^-n stays a normal double, which n <= 1022
-    ensures.  The other (b, n) pairs, n > 63 with b outside [0, 2^63) and
-    every b at n > 1022, take _unit_phase.
+    n <= 63 and low itself for b in [0, 2^63), and the angle is one int64 by
+    double product r (TAU 2^-n): the scaling by 2^-n is exact while the
+    product stays a normal double, which n <= 1022 ensures, so it equals
+    the scalar TAU (r/2^n) bit for bit.  The other (b, n) pairs, n > 63 with
+    b outside [0, 2^63) and every b at n > 1022, take _unit_phase.  Five
+    array operations per trig level: the mask, the angle, cos, sin and the
+    sign of sin.
     """
     np = numpy()
     low = (odd & _LOW_BITS).astype(np.int64)
@@ -232,8 +255,9 @@ def _phases(odd: np.ndarray):
         if n == 2:
             return np.zeros(m), (low[:m] & 3) - 2.0
         r = low[:m] & ((1 << n) - 1) if n <= 63 else low[:m]
-        ang = TAU * (r.astype(np.float64) * math.ldexp(1.0, -n))
-        re, im = np.cos(ang), -np.sin(ang)
+        ang = r * math.ldexp(TAU, -n)
+        re, im = np.cos(ang), np.sin(ang, out=ang)
+        np.negative(im, out=im)
         if n > 63:
             if other is None:
                 # Positions of the b outside [0, 2^63), where low is not b
@@ -250,20 +274,73 @@ def _phases(odd: np.ndarray):
 
 
 def _factor(c: _Floats, er, ei):
-    """w_n = (A0 + A1 e_n)/A at the phases e_n = er + i ei."""
-    ur, ui = _mul(c.a1, 0.0, er, ei)
-    return _div(c.a0 + ur, 0.0 + ui, c.a)
+    """w_n = (A0 + A1 e_n)/A at the phases e_n = er + i ei, in 6 operations
+    done in place on er and ei: ((A0 + A1 er)/A, (0.0 + A1 ei)/A).
+
+    This is CPython's complex (A0 + A1 e_n)/A bit for bit, that is
+    _div(A0 + ur, 0.0 + ui, A) with (ur, ui) = _mul(A1, 0.0, er, ei).  Every
+    operand is finite, A0 and A1 are >= +0 and A > 0 (the A = 0 comb and
+    the zero limits never reach the kernel).  Rounding to nearest,
+    x + (+-0) and x - (+-0) are x for every x != 0, and a sum or difference
+    of two zeros is -0 only as -0 + (-0) or -0 - (+0).  So ur = A1 er - 0.0 ei
+    differs from A1 er at most in the sign of a zero, which A0 + ur erases
+    (A0 >= +0); A0 + A1 er is never -0, so the quotient's real part
+    (xr + xi (0.0/A))/A is xr/A.  0.0 + ui, with ui = A1 ei + 0.0 er, is
+    A1 ei where that is nonzero and +0 where it is a zero, as 0.0 + A1 ei
+    is; the quotient's imaginary part (xi - xr (0.0/A))/A keeps xi, since a
+    nonzero xi absorbs the zero and +0 - (+-0) = +0.  The divisor
+    A + 0.0 (0.0/A) is A.
+    """
+    er *= c.a1
+    er += c.a0
+    er /= c.a
+    ei *= c.a1
+    ei += 0.0
+    ei /= c.a
+    return er, ei
 
 
-def _kernel(c: _Floats, phase, depth: np.ndarray, bottom: int, sr: np.ndarray,
+def _signs(c: _Floats, v: np.ndarray, indicator: bool):
+    """The per-t pass's step: at level n the phase of the first m t is exactly
+    -1 where v2(t) = n - 1 and 1 where v2(t) > n - 1, imaginary part +0.
+
+    So w_n is one of two doubles w+- = _factor(c, +-1.0, 0.0) with +0
+    imaginary part, picked per t.  With indicator, the level's indicator
+    coefficient 2^(n-1) (b0 + b1 e_n)/A^n is one of the two doubles
+    2^(n-1) (b0 +- b1)/A^n with +0 imaginary part: in CPython's complex
+    arithmetic b1 e_n is (b1 e, +0), b0 + it is never -0 (b0 >= +0), the
+    product by 2^(n-1) > 0 and the quotient by A^n > 0 (or 1.0 beside a
+    gap scale, _floats) then leave the real part as it is and the
+    imaginary part +0.  Three array operations per level: the sign mask
+    and the two picks.
+    """
+    np = numpy()
+    w_plus, w_minus = (_factor(c, s, 0.0)[0] for s in (1.0, -1.0))
+
+    def step(n: int, m: int):
+        minus = v[:m] == n - 1
+        wr = np.where(minus, w_minus, w_plus)
+        if not indicator:
+            return wr, 0.0, None
+        two, apow = c.scales[n - 1]
+        t_plus, t_minus = (two * (c.b0 + c.b1 * s) / apow for s in (1.0, -1.0))
+        return wr, 0.0, np.where(minus, t_minus, t_plus)
+
+    return step
+
+
+def _kernel(c: _Floats, step, depth: np.ndarray, bottom: int, sr: np.ndarray,
             si: np.ndarray, norm: Optional[float] = None):
     """Carry the products (sr, si) of one block sorted by decreasing depth down
     through levels n = depth..bottom, in place, and return them as (re, im).
 
-    At level n the m entries whose depth is at least n take the factor w_n
-    at the phases e_n = phase(n, m).  With norm given, every level run is
-    one where the indicator 1{2^(n-1) | t} is 1, and the result is
-    (f1 P_0 + sum_n 2^(n-1) (b0 + b1 e_n)/A^n P_n)/norm, summed in
+    At level n the m entries whose depth is at least n take the factor
+    w_n = wr + i wi, with (wr, wi, tr) = step(n, m), through _mul_into: the
+    keyed pass's step is _factor at the phases of _phases (11 array
+    operations to w_n), the per-t pass's is _signs (3).  With norm given,
+    every level run is one where the indicator 1{2^(n-1) | t} is 1, tr is
+    the real part of the level's indicator coefficient (its imaginary part
+    is +0), and the result is (f1 P_0 + sum_n tr_n P_n)/norm, summed in
     increasing n, where P_n is the product before level n's factor.
     """
     np = numpy()
@@ -271,13 +348,11 @@ def _kernel(c: _Floats, phase, depth: np.ndarray, bottom: int, sr: np.ndarray,
     active = np.searchsorted(-depth, -np.array(levels), side="right").tolist()
     terms = []
     for n, m in zip(levels, active):
-        er, ei = phase(n, m)
+        wr, wi, tr = step(n, m)
         p_re, p_im = sr[:m], si[:m]
         if norm is not None:
-            two, apow = c.scales[n - 1]
-            ur, ui = _mul(c.b1, 0.0, er, ei)
-            terms.append(_mul(*_div(*_mul(two, 0.0, c.b0 + ur, 0.0 + ui), apow), p_re, p_im))
-        sr[:m], si[:m] = _mul(*_factor(c, er, ei), p_re, p_im)
+            terms.append(_mul(tr, 0.0, p_re, p_im))
+        _mul_into(wr, wi, p_re, p_im)
     if norm is None:
         return sr, si
     acc_r, acc_i = _mul(c.f1, 0.0, sr, si)
@@ -400,8 +475,14 @@ def coeff_table(params: AffineParams, ts: Iterable[int], tol: float = 1e-12,
     re, im = np.zeros(size), np.zeros(size)
     tail, depth = np.zeros(size), np.zeros(size, dtype=np.int64)
     with np.errstate(all="ignore"):
-        ts = np.array(ts, dtype=object)
-        run = ts != 0 if level is None else ts % (1 << level) != 0
+        # int64 when numpy holds every t as one, Python ints otherwise (a
+        # float t then raises TypeError at the first &).
+        held = np.array(ts)
+        ts = held if held.dtype == np.int64 else np.array(ts, dtype=object)
+        # t mod 2^N != 0 is t & (2^N - 1) != 0, and t != 0 (the mask -1) for
+        # an int64 t past N = 63 and in limit tables.
+        mask = -1 if level is None else (1 << level) - 1
+        run = (ts & (mask if mask <= _LOW_BITS or ts.dtype == object else -1)) != 0
         re[~run] = 1.0
         idx = np.flatnonzero(run)
         # b != 0 with A <= 2: the limit is exactly 0 off t = 0.
@@ -412,7 +493,7 @@ def coeff_table(params: AffineParams, ts: Iterable[int], tol: float = 1e-12,
             step = 1 << (level - 1)
             b0, b1, b = _doubles((params.b0, params.b1, params.b))
             minus = (b0 + b1 * complex(-1.0, 0.0)) / b
-            vals = [0j if t % step else minus for t in ts[idx]]
+            vals = [0j if t % step else minus for t in ts[idx].tolist()]
             re[idx] = [v.real for v in vals]
             im[idx] = [v.imag for v in vals]
             tail[idx] = _level_bound(level, b)
@@ -422,7 +503,7 @@ def coeff_table(params: AffineParams, ts: Iterable[int], tol: float = 1e-12,
             # t and low = t mod 2^63 share their 2-adic valuation unless low = 0.
             v2 = np.frexp((low & -low).astype(np.float64))[1].astype(np.int64) - 1
             for j in np.flatnonzero(low == 0).tolist():
-                v2[j] = _v2(tn[j])
+                v2[j] = _v2(int(tn[j]))
             if level is None:
                 try:
                     tabs = np.abs(tn.astype(np.float64))
@@ -458,8 +539,8 @@ def _evaluate(params, tn, d, v2, norm):
     c = _floats(params, int(last.max()) if norm is not None else 0)
     reduced = d - v2
     keyed = np.flatnonzero(reduced >= 2)
-    # The exact odd parts b, as int64 when every t fits and as Python ints
-    # otherwise, so t that agree on their low 63 bits never share a key.
+    # The exact odd parts b, as int64 when every keyed t fits and as Python
+    # ints otherwise, so t that agree on their low 63 bits never share a key.
     # Sorting by decreasing depth, then b, puts equal keys side by side and
     # the keys in kernel order.
     try:
@@ -477,15 +558,17 @@ def _evaluate(params, tn, d, v2, norm):
     pr, pi = np.ones(odd.size), np.zeros(odd.size)
     for lo in range(0, odd.size, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
-        _kernel(c, _phases(odd[blk]), kdepth[blk], 2, pr[blk], pi[blk])
+        phase = _phases(odd[blk])
+        step = lambda n, m, phase=phase: (*_factor(c, *phase(n, m)), None)
+        _kernel(c, step, kdepth[blk], 2, pr[blk], pi[blk])
     sr, si = np.ones(d.size), np.zeros(d.size)
     sr[keyed], si[keyed] = pr[slot], pi[slot]
     re, im = np.empty(d.size), np.empty(d.size)
     order = np.argsort(-last, kind="stable")
     for lo in range(0, order.size, _BLOCK):
         blk = order[lo:lo + _BLOCK]
-        signs = lambda n, m, v=v2[blk]: (np.where(v[:m] == n - 1, -1.0, 1.0), np.zeros(m))
-        re[blk], im[blk] = _kernel(c, signs, last[blk], 1, sr[blk], si[blk], norm)
+        step = _signs(c, v2[blk], norm is not None)
+        re[blk], im[blk] = _kernel(c, step, last[blk], 1, sr[blk], si[blk], norm)
     return re, im
 
 
@@ -510,7 +593,7 @@ def coeff_limit(params: AffineParams, t: int, tol: float = 1e-12) -> CoeffValue:
     plus the finite sum that the indicator leaves alive.  One t through
     coeff_table, the batched kernel that every coefficient table uses; for
     many t call coeff_table once, since each call pays the kernel's
-    per-level array overhead (about 2 ms at depth 50).
+    per-level array overhead (about 1 ms at depth 50 on a 2-core x86-64).
 
     tail_bound bounds the truncation of the infinite product only; the
     floating-point rounding of the D factors and of the finite sum is not
@@ -613,9 +696,10 @@ def wiener_profile(params: AffineParams, levels: Iterable[int], tol: float = 1e-
         return {}
     size = 1 << levels[-1]
     mods = coeff_table(params, range(1, size + 1, 2 if params.homogeneous else 1), tol).abs
-    # |mu|^2 as Python's ** computes it (the C library's pow, which differs
-    # from numpy's x*x in the last bit for some x).
-    sq = np.array([x ** 2 for x in mods.tolist()])
+    # |mu|^2 as Python's ** computes it: float_power calls the C library's
+    # pow too, while x*x and np.power(x, 2) square, which differs in the
+    # last bit for some x.
+    sq = np.float_power(mods, 2.0)
     if params.homogeneous:
         n = np.arange(1, size + 1)
         sq = sq[(n // (n & -n)) >> 1]  # the odd part of n indexes the odd-n table

@@ -125,9 +125,10 @@ def classify(params: AffineParams) -> LebesgueClass:
 
 
 def _dyadic_sigma(params: AffineParams, what: str) -> Optional[tuple[int, int]]:
-    """The dyadic closed forms' guard: sigma_inf = p/q as (p, q), or None in
-    cases 1A and 2A (Lebesgue measure).  Raises DomainError, naming `what`,
-    for the null sequence and the pure-point cases."""
+    """The dyadic closed forms' guard: sigma_inf = f(1) + b/(A-2) = p/q as the
+    unreduced pair (f(1)(A-2) + b, A-2), or None in cases 1A and 2A
+    (Lebesgue measure).  Raises DomainError, naming `what`, for the null
+    sequence and the pure-point cases; A > 2 in every other case."""
     if params.is_null_sequence:
         raise DomainError("sequence is identically zero (homogeneous with f(1)=0)")
     cls = classify(params)
@@ -135,7 +136,8 @@ def _dyadic_sigma(params: AffineParams, what: str) -> Optional[tuple[int, int]]:
         return None
     if cls.kind is MeasureKind.PURE_POINT:
         raise DomainError(f"{what} requires A0>0 and A1>0 (case {cls.case} is pure point)")
-    return sigma_inf(params).as_integer_ratio()
+    a0, a1, b0, b1, f1 = params
+    return f1 * (a0 + a1 - 2) + b0 + b1, a0 + a1 - 2
 
 
 def interval_measure(params: AffineParams, interval: DyadicInterval) -> Fraction:

@@ -552,3 +552,18 @@ def test_wiener_caps_and_average():
         wiener_average(AffineParams(1, 2, 0, 0, 1), 15)
     w = wiener_average(AffineParams(1, 2, 0, 0, 1), 4)
     assert w == wiener_profile(AffineParams(1, 2, 0, 0, 1), [4])[4]
+
+
+def test_float_power_squares_as_python_pow():
+    """wiener_profile squares the moduli with np.float_power(x, 2.0), which
+    must equal Python's x ** 2 (the C library's pow) bit for bit; x*x and
+    np.power(x, 2) square instead and differ in the last bit for some x.
+    A fixed-seed sample of 10^6 doubles spread over every binade whose
+    square is finite (subnormal squares included), plus [0, 1), where every
+    modulus lies, and the signed zeros and the smallest subnormal."""
+    rng = np.random.default_rng(20260)
+    spread = (1.0 + rng.random(10**6)) * np.ldexp(1.0, rng.integers(-1075, 511, 10**6))
+    xs = np.concatenate([spread, rng.random(10**5), [0.0, -0.0, 5e-324, 1.0]])
+    got = np.float_power(xs, 2.0).tolist()
+    want = [x ** 2 for x in xs.tolist()]
+    assert [x.hex() for x in got] == [x.hex() for x in want]

@@ -55,7 +55,8 @@ from ghostmeasure import (
 )
 from ghostmeasure.approximant import _masses_through
 from ghostmeasure.cli import _emit, main
-from ghostmeasure.fourier import _BLOCK, TAU, _level_bound, _phases, _unit_phase, _v2
+from ghostmeasure.fourier import (_BLOCK, TAU, _factor, _floats, _level_bound, _mul_into, _phases,
+                                  _signs, _unit_phase, _v2)
 from ghostmeasure.ghost import _density_grid
 from ghostmeasure.sequence import _block_sum
 
@@ -860,6 +861,10 @@ BIG_EVEN = [2**64, 3 * 2**65, -(2**70)]
 @example(GAP_PARAMS, BIG_EVEN, 1e-12)
 @example(AffineParams(3, 5, 1, 1, 1), [2**400, 3], 1e-3)
 @example(AffineParams(1, 2, 10**300, 0, 1), [2**40, 3], 1e-12)  # 2^(n-1) b0 has no double
+@example(AffineParams(0, 3, 0, 1, 1), [1, 2, 12, -5, 2**63 - 1, 2**64 + 1], 1e-12)  # A0 = 0
+@example(AffineParams(3, 0, 0, 0, 1), [1, 6, -7, 2**63 - 1, -(2**63)], 1e-12)  # A1 = 0
+@example(AffineParams(0, 3, 2, 0, 1), [1, 3, 8, -6], 1e-3)  # A0 = 0 and b1 = 0
+@example(AffineParams(2, 5, 3, 0, 1), [1, 2, 3, 96, -(2**40) - 1], 1e-12)  # b1 = 0
 def test_limit_kernel_matches_scalar_loops(p, ts, tol):
     check_batch(lambda ts: coeff_table(p, ts, tol), lambda t: limit_oracle(p, t, tol), ts)
     want = oracle_outcome(lambda: limit_oracle(p, ts[0], tol))
@@ -876,6 +881,10 @@ def test_limit_kernel_matches_scalar_loops(p, ts, tol):
 @example(AffineParams(1, 1, 10**300, 0, 1), 40, [2**30, 3])  # 2^(n-1) b0 has no double
 @example(AffineParams(1, 2, 0, 1, 0), 0, [1])  # Sigma(0) = f(1) = 0
 @example(AffineParams(0, 0, 2, 1, 3), 3, [0, 4, 8, -4, 12, 1])
+@example(AffineParams(0, 3, 0, 1, 1), 40, [1, 2, 12, -5, 2**63 - 1])  # A0 = 0
+@example(AffineParams(3, 0, 0, 1, 1), 70, [1, 6, -7, 2**64 + 1])  # A1 = 0
+@example(AffineParams(3, 0, 0, 0, 1), 40, [3, 2**20, -(2**63)])  # A1 = 0, homogeneous
+@example(AffineParams(2, 5, 3, 0, 1), 40, [1, 2, 3, 96, -(2**40) - 1])  # b1 = 0
 def test_recursive_kernel_matches_scalar_loops(p, level, ts):
     check_batch(lambda ts: coeff_table(p, ts, level=level), lambda t: recursive_row(p, level, t), ts)
     want = oracle_outcome(lambda: recursive_oracle(p, level, ts[0]))
@@ -908,6 +917,46 @@ def test_phases_match_unit_phase(ts):
             for b, x, y in zip(odd, re.tolist(), im.tolist()):
                 z = _unit_phase(b, n)
                 assert (bits(x), bits(y)) == (bits(z.real), bits(z.imag)), (b, n, keys.dtype)
+
+
+# Phase parts and products: signed zeros, +-1, subnormals, general values.
+PARTS = [0.0, -0.0, 1.0, -1.0, 0.5, -0.75, 5e-324, -5e-324, 0.7071067811865476, -1e-300, 3.5]
+
+
+@pytest.mark.parametrize("p", [AffineParams(1, 2, 0, 1, 1), AffineParams(0, 3, 0, 1, 1),
+                               AffineParams(3, 0, 0, 0, 1), AffineParams(3, 0, 2, 0, 1),
+                               AffineParams(2**80, 2**80 - 1, 0, 1, 1)], ids=str)
+def test_lean_steps_match_complex_arithmetic(p):
+    """The kernel's reduced operations equal CPython's complex arithmetic bit
+    for bit, with A0 = 0, A1 = 0 and b1 = 0 among the sets: _factor against
+    (A0 + A1 e)/A at every pair of phase parts, _mul_into against the
+    complex product at every pair of factor and product parts, and the
+    per-t pass's _signs against (A0 + A1 s)/A and 2^(n-1) (b0 + b1 s)/A^n
+    at the exact signs s = -1 and 1."""
+    c = _floats(p, 3)
+    pairs = list(itertools.product(PARTS, repeat=2))
+    er, ei = (np.array(part) for part in zip(*pairs))
+    wr, wi = _factor(c, er.copy(), ei.copy())
+    for (x, y), u, v in zip(pairs, wr.tolist(), wi.tolist()):
+        want = (p.a0 + p.a1 * complex(x, y)) / p.a
+        assert (bits(u), bits(v)) == (bits(want.real), bits(want.imag)), (x, y)
+    for wr, wi in pairs:
+        pr, pi = er.copy(), ei.copy()
+        _mul_into(np.full(len(pairs), wr), np.full(len(pairs), wi), pr, pi)
+        for (x, y), u, v in zip(pairs, pr.tolist(), pi.tolist()):
+            want = complex(wr, wi) * complex(x, y)
+            assert (bits(u), bits(v)) == (bits(want.real), bits(want.imag)), (wr, wi, x, y)
+    v2 = np.array([0, 1, 2, 0])
+    step = _signs(c, v2, True)
+    for n in (3, 2, 1):
+        wr, wi, tr = step(n, 4)
+        assert bits(wi) == bits(0.0)
+        for v, u, t in zip(v2.tolist(), wr.tolist(), tr.tolist()):
+            e = complex(-1.0 if v == n - 1 else 1.0, 0.0)
+            want_w = (p.a0 + p.a1 * e) / p.a
+            want_t = (float(2 ** (n - 1)) * (p.b0 + p.b1 * e)) / float(p.a**n)
+            assert [bits(u), bits(t)] == [bits(want_w.real), bits(want_t.real)], (n, v)
+            assert bits(want_w.imag) == bits(want_t.imag) == bits(0.0), (n, v)
 
 
 def test_kernel_asks_phases_only_for_odd_keys_from_level_two(monkeypatch):

@@ -19,7 +19,10 @@ parameter set at levels 0, 1, 2, 5, 12 and 13, to stdout and to `--out`,
 level 20 for three sets whose values reach or pass 2^63, and levels 27
 (past the cap) and -1.  Its `fourier` runs take recursive levels at and below
 v2(t), levels past 63 and 1022, A = 0, tol 1e-20, even t beyond int64 and
-the int64 edges -2^63, -(2^63-1) and 2^63-1; its level-N runs take both
+the int64 edges -2^63, -(2^63-1) and 2^63-1, each also for a zero branch
+factor (A1 = 0 in `3 0 0 1 1`, A0 = 0 in `0 3 0 1 1` and the homogeneous
+`0 3 0 0 1`) in limit, recursive (N = 40, 70 and 1100) and direct mode
+and in `wiener`; its level-N runs take both
 modes (direct is the recursive table) at N = 0 and at N = 27, past the
 region cap, the 2^80 set at N = 18 with v2(t) >= 12 (A^n past the double
 range in the indicator sum), parameters of 10^400 at N = 4, b0 = 10^300,
@@ -125,6 +128,7 @@ CDF_PARAMS = [
 FOURIER_PARAMS = [
     ["--catalog", "gould_G"], ["--catalog", "cantor"], ["--catalog", "identity"],
     ["--params", "1", "2", "0", "1", "1"], ["--params", "3", "0", "0", "1", "1"],
+    ["--params", "0", "3", "0", "1", "1"], ["--params", "0", "3", "0", "0", "1"],
     ["--params", BIG, BIG_1, "0", "1", "1"],
 ]
 FORMATS = [[], ["--format", "json"]]
