@@ -18,6 +18,7 @@ or JSON records.  Exit codes: 0 ok, 2 domain error, 3 resource cap, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import itertools
 import math
@@ -341,7 +342,11 @@ def _run_to_file(args) -> int:
 
     The temporary file takes the pid and the first free counter value as its
     name.  A failing command leaves neither a partial file nor a changed one.
+    An empty --out is refused, as open("") refuses it, before any file is
+    made: its abspath is the working directory.
     """
+    if not args.out:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     target = os.path.abspath(args.out)
     for n in itertools.count():
         tmp = os.path.join(os.path.dirname(target), f".ghostmeasure-{os.getpid()}-{n}.tmp")
@@ -368,7 +373,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "out", None):
+        if getattr(args, "out", None) is not None:
             return _run_to_file(args)
         return args.fn(args, sys.stdout)
     except DomainError as exc:

@@ -685,13 +685,13 @@ def wiener_profile(params: AffineParams, levels: Iterable[int], tol: float = 1e-
     """
     np = numpy()
     levels = sorted(set(int(l) for l in levels))
+    if any(l < 0 for l in levels):
+        raise DomainError("Wiener levels must be >= 0")
     cap = max_wiener_level()
     if levels and levels[-1] > cap:
         raise ResourceCapError(
             f"Wiener level {levels[-1]} exceeds cap {cap} "
             f"(override with {_ENV_MAX_WIENER})")
-    if any(l < 0 for l in levels):
-        raise DomainError("Wiener levels must be >= 0")
     if not levels:
         return {}
     size = 1 << levels[-1]

@@ -18,8 +18,9 @@ E(x1..xi) has the exact closed form
 
     mu(E) = (F + b/(A-2)) / (sigma_inf * A^i),    F = f((1 x1 .. xi)_2),
 
-evaluated as (F (A-2) + b) q / ((A-2) p A^i), sigma_inf = p/q, by
-interval_measure and ratio_sequence_exact.  It specialises to the
+evaluated as the integer pair (F (A-2) + b, p A^i), p = f(1)(A-2) + b =
+sigma_inf (A-2), by one fold over the digits (_dyadic_fold), which
+interval_measure and both ratio sequences read.  It specialises to the
 Radon-Nikodym density in case 2B,
 
     g(x) = (f(1) + sum_j b_{x_j} A^-j) / (f(1) + b/(2A-2)),   A = A0 = A1,
@@ -32,8 +33,13 @@ A1 = 0, A = A0) the measure is purely atomic with weights
     mu({0})  = (f(1) + b0/(A-1)) / sigma_inf,
     mu({x})  = (b1 + b0/(A-1)) / (A^n * sigma_inf),
 
-where n is the position of the last 1 in x's terminating binary expansion;
-the weights depend on n only (_atoms_2d), so one per-level fold over n
+where n is the position of the last 1 in x's terminating binary expansion.
+Over the one denominator (A-1) p they are the integers
+
+    mu({0}) = (f(1)(A-1) + b0)(A-2) / ((A-1) p),
+    mu({x}) = (b1 (A-1) + b0)(A-2) / ((A-1) p A^n).
+
+The weights depend on n only (_atoms_2d), so one per-level fold over n
 (_levels_2d) gives every level's weight, mass and running total.  The
 mirrored orientation A0 = 0 follows by swapping the branch roles and
 reflecting atom locations x -> 1-x (mod 1), which maps terminating
@@ -57,7 +63,7 @@ from typing import Iterator, Optional
 
 from .approximant import DyadicInterval
 from .errors import DomainError
-from .sequence import AffineParams, _below, eval_f, sigma_inf
+from .sequence import AffineParams, _below, eval_f
 from ._util import parse_bits
 
 #: Seed used by the reproducible randomised diagnostics in the test suite.
@@ -124,38 +130,18 @@ def classify(params: AffineParams) -> LebesgueClass:
     return _2D
 
 
-def _dyadic_sigma(params: AffineParams, what: str) -> Optional[tuple[int, int]]:
-    """The dyadic closed forms' guard: sigma_inf = f(1) + b/(A-2) = p/q as the
-    unreduced pair (f(1)(A-2) + b, A-2), or None in cases 1A and 2A
-    (Lebesgue measure).  Raises DomainError, naming `what`, for the null
-    sequence and the pure-point cases; A > 2 in every other case."""
-    if params.is_null_sequence:
-        raise DomainError("sequence is identically zero (homogeneous with f(1)=0)")
-    cls = classify(params)
-    if cls.case in ("1A", "2A"):
-        return None
-    if cls.kind is MeasureKind.PURE_POINT:
-        raise DomainError(f"{what} requires A0>0 and A1>0 (case {cls.case} is pure point)")
-    a0, a1, b0, b1, f1 = params
-    return f1 * (a0 + a1 - 2) + b0 + b1, a0 + a1 - 2
-
-
 def interval_measure(params: AffineParams, interval: DyadicInterval) -> Fraction:
-    """mu(E) for a dyadic interval, exact.
+    """mu(E) for a dyadic interval, exact: the Fraction of _dyadic_fold's
+    last pair, 1 for the torus.
 
-    The module's closed form, in integers, for A0, A1 > 0 with A0+A1 >= 3
-    (cases 1B, 2B, 2C); cases 1A and 2A are Lebesgue measure, answered as
-    2^-depth directly.  The pure-point cases have no interval closed form
-    here and raise.
+    The module's closed form for A0, A1 > 0 with A0+A1 >= 3 (cases 1B, 2B,
+    2C); cases 1A and 2A are Lebesgue measure, 2^-depth.  The pure-point
+    cases have no interval closed form here and raise.
     """
-    pq = _dyadic_sigma(params, "interval closed form")
-    if pq is None:
-        return interval.length
-    p, q = pq
-    a0, a1, b0, b1, _ = params
-    a = a0 + a1
-    f_lead = eval_f(params, (1 << interval.depth) | interval.index)
-    return Fraction((f_lead * (a - 2) + b0 + b1) * q, (a - 2) * p * a**interval.depth)
+    num = den = 1
+    for num, den in _dyadic_fold(params, interval.bits, "interval closed form"):
+        pass
+    return Fraction(num, den)
 
 
 def _require_2b(params: AffineParams) -> None:
@@ -249,9 +235,9 @@ def ratio_sequence(params: AffineParams, bits) -> list[float]:
     lambda_threshold.
     """
     out = []
-    for num, den in _ratio_fold(params, bits):
+    for j, (num, den) in enumerate(_dyadic_fold(params, bits, "ratio sequence"), start=1):
         try:
-            out.append(num / den)
+            out.append((num << j) / den)
         except OverflowError:
             out.append(math.inf)
     return out
@@ -259,36 +245,47 @@ def ratio_sequence(params: AffineParams, bits) -> list[float]:
 
 def ratio_sequence_exact(params: AffineParams, bits) -> list[Fraction]:
     """2^j interval_measure(E(x1..xj)) for j = 1..len(bits), exact."""
-    return [Fraction(num, den) for num, den in _ratio_fold(params, bits)]
+    return [Fraction(num << j, den)
+            for j, (num, den) in enumerate(_dyadic_fold(params, bits, "ratio sequence"), start=1)]
 
 
-def _ratio_fold(params: AffineParams, bits) -> Iterator[tuple[int, int]]:
-    """The ratios 2^j interval_measure(E(x1..xj)) as unreduced integer pairs
-    (num, den), j = 1..len(bits): one fold over the digits, eval_f's step kept
-    here as eval_f per prefix would be quadratic.  The checks on bits and
-    params run at the first next()."""
+def _dyadic_fold(params: AffineParams, bits, what: str) -> Iterator[tuple[int, int]]:
+    """mu(E(x1..xj)) for j = 1..len(bits) as unreduced integer pairs
+    (f_j (A-2) + b, p A^j), f_j = f((1 x1 .. xj)_2), p = f(1)(A-2) + b: the
+    module's closed form, one fold over the digits (eval_f's step, kept here
+    as eval_f per prefix would be quadratic).  Cases 1A and 2A (Lebesgue
+    measure) yield (1, 2^j).
+
+    The checks on bits, then the guard, run at the first next(): the null
+    sequence and the pure-point cases raise DomainError, naming `what`.  A > 2
+    in every other case, so p > 0.
+    """
     xs = parse_bits(bits)
-    pq = _dyadic_sigma(params, "ratio sequence")
-    if pq is None:
-        yield from ((1, 1) for _ in xs)
+    if params.is_null_sequence:
+        raise DomainError("sequence is identically zero (homogeneous with f(1)=0)")
+    cls = classify(params)
+    if cls.case in ("1A", "2A"):
+        yield from ((1, 1 << j) for j in range(1, len(xs) + 1))
         return
-    p, q = pq
+    if cls.kind is MeasureKind.PURE_POINT:
+        raise DomainError(f"{what} requires A0>0 and A1>0 (case {cls.case} is pure point)")
     a0, a1, b0, b1, v = params
     a, b = a0 + a1, b0 + b1
-    den = (a - 2) * p
-    for j, x in enumerate(xs, start=1):
+    den = v * (a - 2) + b
+    for x in xs:
         v = a1 * v + b1 if x else a0 * v + b0
         den *= a
-        yield (v * (a - 2) + b) * q << j, den
+        yield v * (a - 2) + b, den
 
 
 # ----------------------------------------------------------------------
 # Case 2D: pure point weights
 # ----------------------------------------------------------------------
 
-def _atoms_2d(params: AffineParams) -> tuple[int, Fraction, Fraction]:
-    """(A, mu({0}), w) in case 2D: the atom whose last 1 digit sits at
-    position n >= 1 weighs w / A^n.
+def _atoms_2d(params: AffineParams) -> tuple[int, int, int, int]:
+    """(A, zero, each, den) in case 2D, the module's weights over the one
+    integer denominator den = (A-1) p: mu({0}) = zero / den, and the atom
+    whose last 1 digit sits at position n >= 1 weighs each / (den A^n).
 
     For A1 = 0, b_keep = b0 rides the trailing-zero steps and b_last = b1
     enters at the last 1 digit; for A0 = 0 the roles swap, and atom
@@ -299,33 +296,33 @@ def _atoms_2d(params: AffineParams) -> tuple[int, Fraction, Fraction]:
         raise DomainError(f"pure-point weights require case 2D, got case {cls.case}")
     a, b_keep, b_last = ((params.a0, params.b0, params.b1) if params.a1 == 0
                          else (params.a1, params.b1, params.b0))
-    s_inf = sigma_inf(params)
-    keep = Fraction(b_keep, a - 1)
-    return a, (params.f1 + keep) / s_inf, (b_last + keep) / s_inf
+    zero = (params.f1 * (a - 1) + b_keep) * (a - 2)
+    each = (b_last * (a - 1) + b_keep) * (a - 2)
+    return a, zero, each, (a - 1) * (params.f1 * (a - 2) + params.b)
 
 
 def point_mass(params: AffineParams, bits) -> Fraction:
     """mu({x}) in case 2D; x given by its terminating binary expansion.
 
     The weight depends only on the position n of the last 1 digit:
-    w / A^n, and mu({0}) for x = 0 (see _atoms_2d).
+    each / (den A^n), and zero / den for x = 0 (see _atoms_2d).
     """
-    a, zero, w = _atoms_2d(params)
+    a, zero, each, den = _atoms_2d(params)
     xs = parse_bits(bits)
     n = max((j for j, x in enumerate(xs, start=1) if x), default=0)
-    return w / a**n if n else zero
+    return Fraction(each, den * a**n) if n else Fraction(zero, den)
 
 
 def point_mass_tail(params: AffineParams, n_max: int) -> Fraction:
     """Total mass of atoms whose last 1 digit sits beyond position n_max.
 
-    Level n carries 2^(n-1) atoms of weight w / A^n; the geometric sum
-    gives w / (A-2) * (2/A)^n_max exactly.
+    Level n carries 2^(n-1) atoms of weight each / (den A^n); the geometric
+    sum gives each / ((A-2) den) * (2/A)^n_max exactly.
     """
-    a, _, w = _atoms_2d(params)
+    a, _, each, den = _atoms_2d(params)
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    return w / (a - 2) * Fraction(2, a)**n_max
+    return Fraction(each << n_max, (a - 2) * den * a**n_max)
 
 
 def point_mass_total(params: AffineParams, n_max: int) -> tuple[Fraction, Fraction]:
@@ -346,12 +343,9 @@ def _levels_2d(params: AffineParams, n_max: int) -> Iterator[tuple[int, int, int
     apiece, and all levels up to n together cumulative / den, exactly; den
     grows by A per level.  One _atoms_2d call, then integer steps; the
     checks run at the first next()."""
-    a, zero, w = _atoms_2d(params)
+    a, cumulative, each, den = _atoms_2d(params)
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    den = math.lcm(zero.denominator, w.denominator)
-    each = w.numerator * (den // w.denominator)
-    cumulative = zero.numerator * (den // zero.denominator)
     yield 1, cumulative, cumulative, den
     for n in range(1, n_max + 1):
         count = 1 << (n - 1)

@@ -469,6 +469,12 @@ def test_wiener_table(capsys):
     assert all(float(r[1]) == 0.0 for r in rows)  # uniform comb: no mass off zero
 
 
+def test_wiener_negative_level_is_a_domain_error_before_the_cap(capsys):
+    code, out, err = run_cli(capsys, "wiener", "--params", "1", "2", "0", "1", "1",
+                             "--n-min", "-1", "--n-max", "15")
+    assert (code, out, err) == (2, "", "domain error: Wiener levels must be >= 0\n")
+
+
 # ----------------------------------------------------------------------
 # density / interval / points / jsr-table
 # ----------------------------------------------------------------------
@@ -706,6 +712,16 @@ def test_io_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "cdf", "--catalog", "gould_G", "--N", "6",
                            "--grid", "4", "--out", "/nonexistent-dir/x.csv")
     assert code == 4 and "io error" in err
+
+
+def test_empty_out_is_an_io_error(tmp_path, capsys, monkeypatch):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    for argv in (["classify", "--params", "1", "2", "0", "1", "1"], ["jsr-table", "--sweep", "0"]):
+        code, out, err = run_cli(capsys, *argv, "--out", "")
+        assert (code, out, err) == (4, "", "io error: [Errno 2] No such file or directory: ''\n")
+    assert [p.name for p in tmp_path.rglob("*")] == ["cwd"]
 
 
 def test_failed_command_leaves_out_untouched(tmp_path, capsys):

@@ -249,9 +249,11 @@ def test_ratio_sequence_fold_matches_per_step_fractions(p, bits):
 
 @st.composite
 def params_2d(draw):
-    """Case 2D in either orientation: one branch factor 0, the other >= 3."""
-    a = draw(st.integers(3, 7))
-    b0, b1 = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    """Case 2D in either orientation: one branch factor 0, the other >= 3
+    (2^80 among them); b0, b1 small or up to 2^70."""
+    a = draw(st.one_of(st.integers(3, 7), st.just(2**80)))
+    coeff = st.one_of(st.integers(0, 5), st.integers(0, 2**70))
+    b0, b1 = draw(coeff), draw(coeff)
     if b0 == b1 == 0:
         b0 = 1
     a0, a1 = (a, 0) if draw(st.booleans()) else (0, a)

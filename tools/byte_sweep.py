@@ -33,8 +33,11 @@ path (depth above, below and equal to the grid's width, and depth 0), and
 `--bits` empty, shorter than, equal to and longer than `--depth`.  Values
 past CPython's 4,300-digit int-to-str cap are printed by `eval --n`,
 `eval --region 11` and `interval` (limit and `--N 12`) with a 10^400
-parameter.  In CSV and JSON, it also runs `points` over four case-2D sets
-(2^80 among them) at `--nmax` 0, 1, 10 and 300, `jsr-table` at `--sweep` 0
+parameter.  Its `interval` limit runs take cases 1B, 2B and 2C (2^80 and
+f(1) = 0 among them), 1A, 2A, 2D and a null sequence at depths 0, 1, 9 and
+64.  In CSV and JSON, it also runs `points` over six case-2D sets (2^80
+among them, and A0 = 0 with f(1) = 0 and b_keep = 0) at `--nmax` 0, 1, 10
+and 300, `jsr-table` at `--sweep` 0
 (an empty table), 1, 3 and 9, one-row `density --bits` tables over three
 case-2B sets at depths 0 to 64, `wiener` with `--n-min` equal to
 `--n-max`, and `fourier --t 0`; and `interval` and `classify`, each with
@@ -47,10 +50,11 @@ converts b0 unguarded), the two b0 = 10^300 runs (exit 0 with `nan` where
 a non-finite coefficient is printed, and a stderr that names the scale
 2^(n-1)/A^n where the unscaled 2^(n-1) (b0 + b1 e_n) is refused), the
 t = 2^1024 run (exit 2 where a homogeneous scale past the double range is
-refused) and the four runs past the int-to-str cap (exit 1 with
-`ValueError` where the cap is not lifted).  Every mismatch is printed
-with its argv and the parts that differ; the exit code is 1 on any
-mismatch, 0 otherwise.  Standard library only.
+refused), the four runs past the int-to-str cap (exit 1 with
+`ValueError` where the cap is not lifted) and `wiener` at `--n-min -1`
+with `--n-max` past the cap (exit 3 where the cap is checked before the
+sign).  Every mismatch is printed with its argv and the parts that differ;
+the exit code is 1 on any mismatch, 0 otherwise.  Standard library only.
 """
 
 from __future__ import annotations
@@ -153,11 +157,26 @@ DENSITY_PARAMS = [
 ]
 DENSITY_GRIDS = [("64", "10"), ("256", "64"), ("64", "3"), ("64", "6"), ("8", "0")]
 DENSITY_BITS = [("", "0"), ("", "5"), ("0110", "4"), ("0110", "9"), ("011011101", "4")]
-# Case 2D sets for `points`, both orientations, f(1) = 0 and 2^80 among them.
+# Case 2D sets for `points`, both orientations, f(1) = 0 and 2^80 among them,
+# and A0 = 0 sets with f(1) = 0 and b_keep = b1 = 0 (no mass at 0).
 POINTS_PARAMS = [
     ["--params", "3", "0", "0", "1", "1"], ["--params", "0", "3", "0", "1", "1"],
     ["--params", "5", "0", "2", "3", "0"], ["--params", BIG, "0", "0", "1", "1"],
+    ["--params", "0", "3", "1", "0", "0"], ["--params", "0", BIG, str(2**70), "0", "0"],
 ]
+# `interval` limit runs: cases 1B, 2B and 2C (2^80 and f(1) = 0 among them),
+# then 1A, 2A, 2D and the null sequence (Lebesgue measure or a domain error),
+# each at depths 0, 1, 9 and 64.
+INTERVAL_LIMIT_PARAMS = [
+    ["--params", "1", "2", "0", "0", "1"], ["--params", BIG, "1", "0", "0", "1"],
+    ["--params", "2", "2", "0", "1", "1"], ["--params", "3", "3", "4", "0", "0"],
+    ["--params", BIG, BIG, "0", "1", "1"],
+    ["--params", "1", "2", "0", "1", "1"], ["--params", "1", "2", "1", "0", "0"],
+    ["--params", BIG, BIG_1, "0", "1", "1"],
+    ["--params", "2", "2", "0", "0", "1"], ["--params", "1", "1", "0", "1", "1"],
+    ["--params", "3", "0", "0", "1", "1"], ["--params", "1", "2", "0", "0", "0"],
+]
+INTERVAL_BITS = ["", "1", "011011101", "0110" * 16]
 # One-row `density --bits` tables: depth 0, shorter and longer than the bits.
 DENSITY_BITS_TABLES = [("0110", "0"), ("0110", "1"), ("", "20"), ("011011101", "64")]
 INTERVALS = [["--params", "2", "2", "0", "1", "1", "--bits", "1"],
@@ -221,6 +240,7 @@ def sweep() -> list[list[str]]:
     runs.append(["fourier", "--params", "1", "2", str(10**300), "0", "1", "--t", str(2**40)])
     runs.append(["fourier", "--params", "1", "0", "0", "0", "1", "--mode", "recursive",
                  "--N", "1100", "--t", str(2**1024)])
+    runs.append(["wiener", "--params", "1", "2", "0", "1", "1", "--n-min", "-1", "--n-max", "15"])
     for mode in ("recursive", "direct"):
         for params in FOURIER_PARAMS:
             for level in ("0", "27"):
@@ -244,6 +264,9 @@ def sweep() -> list[list[str]]:
         runs.append(["interval", "--params", "1", str(10**400), "0", "0", "1", "--bits", "1" * 12,
                      *level])
     runs.append(["eval", "--params", "1", str(10**400), "0", "0", "1", "--region", "11"])
+    for params in INTERVAL_LIMIT_PARAMS:
+        for bits in INTERVAL_BITS:
+            runs.append(["interval", *params, "--bits", bits])
     for fmt in FORMATS:
         for params in POINTS_PARAMS:
             for n_max in ("0", "1", "10", "300"):
