@@ -35,7 +35,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Sequence, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import DomainError
 from .sequence import (AffineParams, _block_sum, _check_level, _make_checked, _subtree, big_sigma, eval_f,
@@ -117,8 +117,9 @@ def build_comb(params: AffineParams, level: int) -> Approximant:
 # Distribution function and interval masses
 # ----------------------------------------------------------------------
 
-def _masses_through(comb: Approximant, idxs: Sequence[int]) -> list[int]:
-    """[weights[0] + ... + weights[i] for i in idxs], from one shared descent.
+def _masses_through(comb: Approximant, idxs: Iterable[int], count: int) -> Iterator[int]:
+    """weights[0] + ... + weights[i] for each i of the count indices idxs, in
+    order, from one shared descent: read lazily, yielded one by one.
 
     Each index splits into its high N - k digits and its low k digits, with
     k = min(floor(log2 G) - 1, ceil(N/2)) for G indices (0 for G < 4).  The
@@ -144,7 +145,7 @@ def _masses_through(comb: Approximant, idxs: Sequence[int]) -> list[int]:
     """
     p = comb.params
     a0, b0, a1, b1 = p.a0, p.b0, p.a1, p.b1
-    k = max(min(len(idxs).bit_length() - 2, (comb.level + 1) // 2), 0)
+    k = max(min(count.bit_length() - 2, (comb.level + 1) // 2), 0)
     high = comb.level - k
     alpha, beta = [], []
     slope, const = a0, b0
@@ -158,7 +159,6 @@ def _masses_through(comb: Approximant, idxs: Sequence[int]) -> list[int]:
     vs, accs = [0] * high, [0] * high
     v, acc, top = p.f1, 0, high - 1
     low_mask = (1 << k) - 1
-    out: list[int] = []
     prev = None
     for idx in idxs:
         h = idx >> k
@@ -175,8 +175,7 @@ def _masses_through(comb: Approximant, idxs: Sequence[int]) -> list[int]:
                     v = a0 * v + b0
             prev = h
         low = idx & low_mask
-        out.append(acc + C[low] * v + D[low])
-    return out
+        yield acc + C[low] * v + D[low]
 
 
 def cdf(comb: Approximant, x: Union[float, Fraction, int]) -> Fraction:
@@ -186,15 +185,16 @@ def cdf(comb: Approximant, x: Union[float, Fraction, int]) -> Fraction:
         raise DomainError(f"cdf argument must lie in [0, 1], got {x!r}")
     size = 1 << comb.level
     idx = min(int(xf * size), size - 1)
-    return Fraction(_masses_through(comb, [idx])[0], comb.total)
+    return Fraction(next(_masses_through(comb, [idx], 1)), comb.total)
 
 
-def _grid_masses(comb: Approximant, grid_size: int) -> list[int]:
-    """The numerators of F_N(k/(grid_size-1)), k = 0..grid_size-1, over comb.total."""
+def _grid_masses(comb: Approximant, grid_size: int) -> Iterator[int]:
+    """The numerators of F_N(k/(grid_size-1)), k = 0..grid_size-1, over
+    comb.total, yielded in order; DomainError at the call for a grid below 2."""
     if grid_size < 2:
         raise DomainError("grid_size must be >= 2")
     size, last = 1 << comb.level, grid_size - 1
-    return _masses_through(comb, [min(k * size // last, size - 1) for k in range(grid_size)])
+    return _masses_through(comb, (min(k * size // last, size - 1) for k in range(grid_size)), grid_size)
 
 
 def cdf_series(comb: Approximant, grid_size: int) -> list[tuple[Fraction, Fraction]]:

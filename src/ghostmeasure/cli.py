@@ -12,7 +12,9 @@
     ghostmeasure jsr-table --sweep 5
 
 Tables go to stdout or --out as CSV (17 significant digits, stable bytes)
-or JSON records.  Exit codes: 0 ok, 2 domain error, 3 resource cap, 4 I/O.
+or JSON records, streamed in chunks of rows.  Exit codes: 0 ok, 2 domain
+error, 3 resource cap, 4 I/O; from the console script also 130 on SIGINT and
+143 on SIGTERM.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import itertools
 import math
 import os
 import sys
+from typing import Iterator
 
 from . import approximant, fourier, ghost, linrep, sequence
 from .errors import DomainError, ResourceCapError
@@ -35,8 +38,8 @@ def _fmt_ratio(x: float) -> str:
 
 
 def _column(col, fmt: str) -> tuple[str, list | tuple]:
-    """The % conversion for one column and the values that fill it, chosen
-    from the column's value type once.
+    """The % conversion for one column of a chunk and the values that fill it,
+    chosen from the column's value type once.
 
     `%d` prints an int of any size (and serves an empty column); `%.17g` a
     float as format(x, ".17g") does, and `%r` a finite float as json does
@@ -63,31 +66,61 @@ def _column(col, fmt: str) -> tuple[str, list | tuple]:
                      f"or only strs, not {sorted(k.__name__ for k in kinds)}")
 
 
-def _emit(header: list[str], cols, fmt: str, out) -> None:
-    """Write a table, given as one column of equal length per header key, as
-    CSV or JSON; no columns at all (zip(*rows) of no rows) is an empty table.
+# Rows per chunk of a streamed table: the most that a table command holds
+# as Python values at once.  Below 2^10 rows the peak RSS of a run of
+# tables barely falls further, while the per-chunk work grows.
+_CHUNK = 1 << 10
 
-    Every row is one % template (see _column).  CSV is the header line and
-    one line per row; JSON is byte for byte json.dumps(records, indent=2)
-    plus a newline.
+
+def _chunks(rows):
+    """The column chunks of a table given as an iterable of rows: _CHUNK rows
+    each, the last one shorter, and none for no rows.  It keeps no chunk it
+    has returned, so the writer holds one chunk at a time."""
+    rows = iter(rows)
+    return iter(lambda: list(zip(*itertools.islice(rows, _CHUNK))), [])
+
+
+def _emit(header: list[str], chunks, fmt: str, out) -> None:
+    """Write a table, given as an iterable of chunks of rows, each chunk one
+    column of equal length per header key, as CSV or JSON.  A chunk of no
+    rows (no columns, or empty ones) writes nothing; a table of none is an
+    empty table.
+
+    Every row is one % template (see _column), fixed by the first chunk with
+    rows.  Each chunk's columns are checked before any of its rows is
+    written: a column that the first chunk refuses writes nothing at all, and
+    one that later takes another template raises ValueError after the rows
+    before it.  CSV is the header line and one line per row; JSON is byte for
+    byte json.dumps(records, indent=2) plus a newline.
     """
-    convs, cols = zip(*(_column(col, fmt) for col in cols or [()] * len(header)))
-    rows = zip(*cols)
-    if fmt == "csv":
-        out.write(",".join(header) + "\n")
-        out.writelines(map((",".join(convs) + "\n").__mod__, rows))
-        return
-    import json
+    convs = None
+    for chunk in chunks:
+        if not (chunk and len(chunk[0])):
+            continue
+        kinds, cols = zip(*(_column(col, fmt) for col in chunk))
+        rows = zip(*cols)
+        if convs is None:
+            convs = kinds
+            if fmt == "csv":
+                row = ",".join(convs) + "\n"
+                first = ",".join(header).replace("%", "%%") + "\n" + row
+            else:
+                import json
 
-    keys = [json.encoder.encode_basestring_ascii(k).replace("%", "%%") for k in header]
-    record = "  {\n" + ",\n".join(f"    {k}: {c}" for k, c in zip(keys, convs)) + "\n  }"
-    first = next(rows, None)
-    if first is None:
-        out.write("[]\n")
-        return
-    out.write("[\n" + record % first)
-    out.writelines(map((",\n" + record).__mod__, rows))
-    out.write("\n]\n")
+                keys = [json.encoder.encode_basestring_ascii(k).replace("%", "%%") for k in header]
+                record = "  {\n" + ",\n".join(f"    {k}: {c}" for k, c in zip(keys, convs)) + "\n  }"
+                first, row = "[\n" + record, ",\n" + record
+            out.write(first % next(rows))
+        elif kinds != convs:
+            raise ValueError(f"a {fmt} table column changes its kind between chunks: "
+                             f"{','.join(convs)} then {','.join(kinds)}")
+        out.writelines(map(row.__mod__, rows))
+        # Let this chunk go before the producer makes the next one.
+        del chunk, cols, rows
+    if convs is None:
+        out.write(",".join(header) + "\n" if fmt == "csv" else "[]\n")
+    elif fmt == "json":
+        out.write("\n]\n")
 
 
 def _add_params_opts(p: argparse.ArgumentParser) -> None:
@@ -113,21 +146,28 @@ def _resolve_params(args) -> sequence.AffineParams:
     return sequence.AffineParams(*args.params)
 
 
-def _parse_t_spec(spec: str) -> list[int]:
-    out: list[int] = []
+def _parse_t_spec(spec: str) -> Iterator[range]:
+    """The t of spec in order, one nonempty range per lo..hi part or integer.
+
+    DomainError, at the part it reaches, for a part that is neither; once
+    every part is read, for a spec of no t at all.
+    """
+    empty = True
     for part in spec.split(","):
         part = part.strip()
         try:
             if ".." in part:
                 lo, hi = part.split("..", 1)
-                out.extend(range(int(lo), int(hi) + 1))
-            elif part:
-                out.append(int(part))
+                span = range(int(lo), int(hi) + 1)
+            else:
+                span = range(int(part), int(part) + 1) if part else range(0)
         except ValueError:
             raise DomainError(f"t specification {spec!r}: {part!r} is not an integer or lo..hi range")
-    if not out:
+        if span:
+            empty = False
+            yield span
+    if empty:
         raise DomainError(f"empty t specification {spec!r}")
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -161,19 +201,23 @@ def _cmd_cdf(args, out) -> int:
     masses = approximant._grid_masses(comb, args.grid)
     # int / int is correctly rounded, as float(Fraction) is: the same doubles.
     last, total = args.grid - 1, comb.total
-    _emit(["x", "F"], [[k / last for k in range(args.grid)], [m / total for m in masses]],
-          args.format, out)
+    chunks = ([[k / last for k in range(lo, min(lo + _CHUNK, args.grid))],
+               [m / total for m in itertools.islice(masses, _CHUNK)]]
+              for lo in range(0, args.grid, _CHUNK))
+    _emit(["x", "F"], chunks, args.format, out)
     return 0
 
 
 def _cmd_fourier(args, out) -> int:
     params = _resolve_params(args)
-    ts = _parse_t_spec(args.t)
+    spans = list(_parse_t_spec(args.t))
     if args.mode != "limit" and args.N is None:
         raise DomainError(f"--mode {args.mode} requires --N")
-    tab = fourier.coeff_table(params, ts, args.tol, None if args.mode == "limit" else args.N)
-    cols = [ts, tab.re.tolist(), tab.im.tolist(), tab.abs.tolist(), tab.tail_bound.tolist()]
-    _emit(["t", "re", "im", "abs", "tail_bound"], cols, args.format, out)
+    tab = fourier.coeff_table(params, spans, args.tol, None if args.mode == "limit" else args.N)
+    ts, cols = itertools.chain.from_iterable(spans), (tab.re, tab.im, tab.abs, tab.tail_bound)
+    chunks = ([list(itertools.islice(ts, _CHUNK)), *(c[lo:lo + _CHUNK].tolist() for c in cols)]
+              for lo in range(0, tab.re.size, _CHUNK))
+    _emit(["t", "re", "im", "abs", "tail_bound"], chunks, args.format, out)
     return 0
 
 
@@ -183,7 +227,7 @@ def _cmd_wiener(args, out) -> int:
         raise DomainError("--n-max must be >= --n-min")
     levels = list(range(args.n_min, args.n_max + 1))
     prof = fourier.wiener_profile(params, levels, args.tol)
-    _emit(["N", "W"], [levels, [prof[l] for l in levels]], args.format, out)
+    _emit(["N", "W"], [[levels, [prof[l] for l in levels]]], args.format, out)
     return 0
 
 
@@ -192,7 +236,7 @@ def _cmd_density(args, out) -> int:
     if args.bits is not None:
         est = ghost.density(params, args.bits, args.depth)
         iv = approximant.DyadicInterval.from_bits(args.bits)
-        _emit(["x", "g", "tail_bound"], [[float(iv.left)], [est.value], [est.tail_bound]],
+        _emit(["x", "g", "tail_bound"], [[[float(iv.left)], [est.value], [est.tail_bound]]],
               args.format, out)
         return 0
     grid = args.grid
@@ -200,9 +244,11 @@ def _cmd_density(args, out) -> int:
         raise DomainError("--grid must be a power of two >= 2")
     nums, den, tail = ghost._density_grid(params, grid.bit_length() - 1, args.depth)
     # int / int is correctly rounded, as float(Fraction) is: the same doubles.
-    g = [v / den for v in nums]
-    _emit(["x", "g", "tail_bound"], [[k / grid for k in range(grid)], g, [tail / den] * grid],
-          args.format, out)
+    # grid and _CHUNK are powers of two, so every chunk has min(grid, _CHUNK) rows.
+    size, bound = min(grid, _CHUNK), tail / den
+    chunks = ([[k / grid for k in range(lo, lo + size)], [v / den for v in itertools.islice(nums, size)],
+               [bound] * size] for lo in range(0, grid, size))
+    _emit(["x", "g", "tail_bound"], chunks, args.format, out)
     return 0
 
 
@@ -223,30 +269,27 @@ def _cmd_points(args, out) -> int:
     params = _resolve_params(args)
     if args.nmax < 0:
         raise DomainError("--nmax must be >= 0")
-    rows = [(n, count, each / den, count * each / den, cumulative / den)
-            for n, (count, each, cumulative, den) in enumerate(ghost._levels_2d(params, args.nmax))]
-    _emit(["n", "count", "mass_each", "mass_level", "cumulative"], list(zip(*rows)),
-          args.format, out)
+    rows = ((n, count, each / den, count * each / den, cumulative / den)
+            for n, (count, each, cumulative, den) in enumerate(ghost._levels_2d(params, args.nmax)))
+    _emit(["n", "count", "mass_each", "mass_level", "cumulative"], _chunks(rows), args.format, out)
     return 0
 
 
 def _cmd_jsr_table(args, out) -> int:
     if args.sweep < 0:
         raise DomainError("--sweep must be >= 0")
-    rows = []
-    for a0 in range(args.sweep + 1):
-        for a1 in range(args.sweep + 1):
-            for b0 in range(args.sweep + 1):
-                for b1 in range(args.sweep + 1):
-                    if a0 == a1 == b0 == b1 == 0:
-                        continue
-                    params = sequence.AffineParams(a0, a1, b0, b1, 1)
-                    cls = ghost.classify(params)
-                    diag = linrep.spectral_diagnostic(params)
-                    rows.append((a0, a1, b0, b1, cls.case, cls.describe(),
-                                 diag.rho, diag.rho_star, diag.log_ratio))
-    _emit(["a0", "a1", "b0", "b1", "case", "kind", "rho", "rho_star", "log_ratio"],
-          list(zip(*rows)), args.format, out)
+
+    def rows():
+        for a0, a1, b0, b1 in itertools.product(range(args.sweep + 1), repeat=4):
+            if a0 == a1 == b0 == b1 == 0:
+                continue
+            params = sequence.AffineParams(a0, a1, b0, b1, 1)
+            cls = ghost.classify(params)
+            diag = linrep.spectral_diagnostic(params)
+            yield (a0, a1, b0, b1, cls.case, cls.describe(), diag.rho, diag.rho_star, diag.log_ratio)
+
+    _emit(["a0", "a1", "b0", "b1", "case", "kind", "rho", "rho_star", "log_ratio"], _chunks(rows()),
+          args.format, out)
     return 0
 
 
@@ -391,7 +434,35 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """The console entry point: main() under the process's own signal policy.
+
+    SIGINT and SIGTERM raise SystemExit wherever the run is, so --out's
+    temporary file is removed on the way out (_run_to_file), and the process
+    exits 128 + the signal number: 130 after one line on stderr for SIGINT,
+    143 for SIGTERM, even where the exception was turned into another on its
+    way (a C extension's import turns it into ImportError).  main() itself
+    leaves a calling program's handlers alone.
+    """
+    import signal
+
+    caught = []
+
+    def stop(signum, frame):
+        caught.append(signum)
+        raise SystemExit(128 + signum)
+
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, stop)
+    try:
+        code = main()
+    except BaseException:
+        if not caught:
+            raise
+    if caught:
+        if caught[0] == signal.SIGINT:
+            print("interrupted", file=sys.stderr)
+        code = 128 + caught[0]
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -71,6 +71,7 @@ magnitude_sq_1b, the 2B and 2C identities) run without loading numpy.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -433,19 +434,59 @@ def _product_depths(params: AffineParams, tabs: np.ndarray, v2: np.ndarray, tol:
         # np.log2 may differ from math.log2 in the last bit; near an integer
         # that moves the integer part, so take it from math.log2 there.
         near = np.flatnonzero(np.abs(lg - np.rint(lg)) < 1e-9)
-        whole[near] = [int(math.log2(x)) for x in target[big[near]].tolist()]
+        exact = np.fromiter(map(math.log2, memoryview(target[big[near]])), np.float64, near.size)
+        whole[near] = exact.astype(np.int64)
         depth[big] = np.maximum(depth[big], whole + 2)
     if depth.max() > 1023:
         raise DomainError(_DEPTH_RANGE)
     tail = amax * TAU * tabs / (a * np.ldexp(1.0, depth))
     # math.expm1 once per distinct argument (t and 2^a t at one key share
-    # theirs bit for bit): np.expm1 differs from it in the last bit for some
-    # arguments, which would change the printed bounds.
+    # theirs bit for bit), fed as floats by a memoryview, not a list:
+    # np.expm1 differs from it in the last bit for some arguments, which
+    # would change the printed bounds.
     args, where = np.unique(tail, return_inverse=True)
-    return depth, np.array([math.expm1(x) for x in args.tolist()])[where]
+    return depth, np.fromiter(map(math.expm1, memoryview(args)), np.float64, args.size)[where]
 
 
-def coeff_table(params: AffineParams, ts: Iterable[int], tol: float = 1e-12,
+def _held(ts) -> np.ndarray:
+    """The t of ts in order as one array: int64 where numpy holds every t as
+    one, Python ints (dtype object) otherwise.
+
+    ts is a range, or an iterable of ints and ranges, a range standing for
+    its ints in order.  A range whose ends fit in int64 is one int64 array
+    (np.arange where it counts exactly) and each run of loose ints one
+    np.array, so the int64 path makes no list of the t.  A float t is held
+    too, and raises TypeError at coeff_table's first &.
+    """
+    np = numpy()
+    parts, loose = [], []
+    for item in [ts] if isinstance(ts, range) else ts:
+        if isinstance(item, range):
+            parts += [loose, item]
+            loose = []
+        else:
+            loose.append(item)
+    parts = [p for p in [*parts, loose] if len(p)]
+    int64 = np.iinfo(np.int64)
+
+    def array(p):
+        if not isinstance(p, range):
+            return np.array(p)
+        if not (int64.min <= min(p[0], p[-1]) and max(p[0], p[-1]) <= int64.max):
+            return None  # past int64
+        # np.arange counts its elements as (stop - start) / step in doubles,
+        # which is exact while |stop - start| < 2^53.
+        if abs(p.stop - p.start) < 1 << 53:
+            return np.arange(p.start, p.stop, p.step, dtype=np.int64)
+        return np.fromiter(p, np.int64, len(p))
+
+    held = [array(p) for p in parts]
+    if held and all(h is not None and h.dtype == np.int64 for h in held):
+        return held[0] if len(held) == 1 else np.concatenate(held)
+    return np.fromiter(itertools.chain.from_iterable(parts), object, sum(map(len, parts)))
+
+
+def coeff_table(params: AffineParams, ts: Iterable, tol: float = 1e-12,
                 level: Optional[int] = None) -> CoeffTable:
     """mu^(t) (level None, truncated at tol) or mu_N^(t) at level N, for every t.
 
@@ -454,7 +495,8 @@ def coeff_table(params: AffineParams, ts: Iterable[int], tol: float = 1e-12,
     depth into blocks of _BLOCK, and then each t runs its last
     min(v2(t) + 1, D) levels with the indicator sum, both passes through one
     split re/im kernel with the trig phases of _phases or the exact signs
-    of the last levels.  Every value is bit-identical to the scalar complex
+    of the last levels.  ts is a range, or an iterable of ints and ranges
+    (see _held).  Every value is bit-identical to the scalar complex
     formula of coeff_limit or coeff_recursive for that t alone.  In limit
     tables tail_bound covers the truncation of the infinite product only,
     not floating-point rounding; in level-N tables it is the rounding bound
@@ -462,8 +504,6 @@ def coeff_table(params: AffineParams, ts: Iterable[int], tol: float = 1e-12,
     divides t (every t at N = 0).
     """
     np = numpy()
-    ts = list(ts)
-    size = len(ts)
     if level is None and not tol > 0:
         raise DomainError("tol must be > 0")
     if level is not None and level < 0:
@@ -472,13 +512,11 @@ def coeff_table(params: AffineParams, ts: Iterable[int], tol: float = 1e-12,
         raise DomainError("sequence is identically zero (homogeneous with f(1)=0)")
     if level == 0 and params.f1 == 0:
         raise DomainError("the level-0 comb has total f(1) = 0")
+    ts = _held(ts)
+    size = ts.size
     re, im = np.zeros(size), np.zeros(size)
     tail, depth = np.zeros(size), np.zeros(size, dtype=np.int64)
     with np.errstate(all="ignore"):
-        # int64 when numpy holds every t as one, Python ints otherwise (a
-        # float t then raises TypeError at the first &).
-        held = np.array(ts)
-        ts = held if held.dtype == np.int64 else np.array(ts, dtype=object)
         # t mod 2^N != 0 is t & (2^N - 1) != 0, and t != 0 (the mask -1) for
         # an int64 t past N = 63 and in limit tables.
         mask = -1 if level is None else (1 << level) - 1
@@ -490,12 +528,13 @@ def coeff_table(params: AffineParams, ts: Iterable[int], tol: float = 1e-12,
         if idx.size and level is not None and params.a == 0:
             # The comb alternates b0, b1: (b0 + b1 e^{-2 pi i t/2^N})/b on
             # 2^(N-1) Z, where the phase is exactly -1 off 2^N Z, and 0 elsewhere.
-            step = 1 << (level - 1)
+            # The multiples of 2^(N-1), by the mask 2^(N-1) - 1 as above.
+            half = (1 << (level - 1)) - 1
             b0, b1, b = _doubles((params.b0, params.b1, params.b))
             minus = (b0 + b1 * complex(-1.0, 0.0)) / b
-            vals = [0j if t % step else minus for t in ts[idx].tolist()]
-            re[idx] = [v.real for v in vals]
-            im[idx] = [v.imag for v in vals]
+            on = (ts[idx] & (half if half <= _LOW_BITS or ts.dtype == object else -1)) == 0
+            re[idx] = np.where(on, minus.real, 0.0)
+            im[idx] = np.where(on, minus.imag, 0.0)
             tail[idx] = _level_bound(level, b)
         elif idx.size and not zero_limit:
             tn = ts[idx]

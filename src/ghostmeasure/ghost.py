@@ -18,9 +18,10 @@ E(x1..xi) has the exact closed form
 
     mu(E) = (F + b/(A-2)) / (sigma_inf * A^i),    F = f((1 x1 .. xi)_2),
 
-evaluated as the integer pair (F (A-2) + b, p A^i), p = f(1)(A-2) + b =
-sigma_inf (A-2), by one fold over the digits (_dyadic_fold), which
-interval_measure and both ratio sequences read.  It specialises to the
+evaluated as the integer pair ((F (A-2) + b) 2^i, p A^i) of the ratio
+mu(E)/lambda(E) = 2^i mu(E), p = f(1)(A-2) + b = sigma_inf (A-2), by one
+fold over the digits (_dyadic_fold), which both ratio sequences read and
+interval_measure divides by 2^i.  It specialises to the
 Radon-Nikodym density in case 2B,
 
     g(x) = (f(1) + sum_j b_{x_j} A^-j) / (f(1) + b/(2A-2)),   A = A0 = A1,
@@ -56,6 +57,7 @@ no Fraction built.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -132,7 +134,7 @@ def classify(params: AffineParams) -> LebesgueClass:
 
 def interval_measure(params: AffineParams, interval: DyadicInterval) -> Fraction:
     """mu(E) for a dyadic interval, exact: the Fraction of _dyadic_fold's
-    last pair, 1 for the torus.
+    last pair over 2^depth, 1 for the torus.
 
     The module's closed form for A0, A1 > 0 with A0+A1 >= 3 (cases 1B, 2B,
     2C); cases 1A and 2A are Lebesgue measure, 2^-depth.  The pure-point
@@ -141,7 +143,7 @@ def interval_measure(params: AffineParams, interval: DyadicInterval) -> Fraction
     num = den = 1
     for num, den in _dyadic_fold(params, interval.bits, "interval closed form"):
         pass
-    return Fraction(num, den)
+    return Fraction(num, den << interval.depth)
 
 
 def _require_2b(params: AffineParams) -> None:
@@ -235,9 +237,9 @@ def ratio_sequence(params: AffineParams, bits) -> list[float]:
     lambda_threshold.
     """
     out = []
-    for j, (num, den) in enumerate(_dyadic_fold(params, bits, "ratio sequence"), start=1):
+    for num, den in _dyadic_fold(params, bits, "ratio sequence"):
         try:
-            out.append((num << j) / den)
+            out.append(num / den)
         except OverflowError:
             out.append(math.inf)
     return out
@@ -245,16 +247,16 @@ def ratio_sequence(params: AffineParams, bits) -> list[float]:
 
 def ratio_sequence_exact(params: AffineParams, bits) -> list[Fraction]:
     """2^j interval_measure(E(x1..xj)) for j = 1..len(bits), exact."""
-    return [Fraction(num << j, den)
-            for j, (num, den) in enumerate(_dyadic_fold(params, bits, "ratio sequence"), start=1)]
+    return [Fraction(num, den) for num, den in _dyadic_fold(params, bits, "ratio sequence")]
 
 
 def _dyadic_fold(params: AffineParams, bits, what: str) -> Iterator[tuple[int, int]]:
-    """mu(E(x1..xj)) for j = 1..len(bits) as unreduced integer pairs
-    (f_j (A-2) + b, p A^j), f_j = f((1 x1 .. xj)_2), p = f(1)(A-2) + b: the
-    module's closed form, one fold over the digits (eval_f's step, kept here
-    as eval_f per prefix would be quadratic).  Cases 1A and 2A (Lebesgue
-    measure) yield (1, 2^j).
+    """The ratios 2^j mu(E(x1..xj)) for j = 1..len(bits) as unreduced integer
+    pairs ((f_j (A-2) + b) 2^j, p A^j), f_j = f((1 x1 .. xj)_2), p = f(1)(A-2)
+    + b: the module's closed form, one fold over the digits (eval_f's step,
+    kept here as eval_f per prefix would be quadratic).  Cases 1A and 2A
+    (Lebesgue measure) yield (1, 1): every ratio is exactly 1, and no j-bit
+    integer is made.
 
     The checks on bits, then the guard, run at the first next(): the null
     sequence and the pure-point cases raise DomainError, naming `what`.  A > 2
@@ -265,17 +267,17 @@ def _dyadic_fold(params: AffineParams, bits, what: str) -> Iterator[tuple[int, i
         raise DomainError("sequence is identically zero (homogeneous with f(1)=0)")
     cls = classify(params)
     if cls.case in ("1A", "2A"):
-        yield from ((1, 1 << j) for j in range(1, len(xs) + 1))
+        yield from itertools.repeat((1, 1), len(xs))
         return
     if cls.kind is MeasureKind.PURE_POINT:
         raise DomainError(f"{what} requires A0>0 and A1>0 (case {cls.case} is pure point)")
     a0, a1, b0, b1, v = params
     a, b = a0 + a1, b0 + b1
     den = v * (a - 2) + b
-    for x in xs:
+    for j, x in enumerate(xs, start=1):
         v = a1 * v + b1 if x else a0 * v + b0
         den *= a
-        yield v * (a - 2) + b, den
+        yield (v * (a - 2) + b) << j, den
 
 
 # ----------------------------------------------------------------------

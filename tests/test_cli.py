@@ -5,8 +5,10 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -165,7 +167,7 @@ def test_cdf_prints_the_floats_of_cdf_series(capsys):
         rows = cdf_series(build_comb(params, level), grid)
         for fmt in ("csv", "json"):
             want = io.StringIO()
-            _emit(["x", "F"], [[float(x) for x, _ in rows], [float(f) for _, f in rows]], fmt, want)
+            _emit(["x", "F"], [[[float(x) for x, _ in rows], [float(f) for _, f in rows]]], fmt, want)
             got = run_cli(capsys, "cdf", *source, "--N", str(level), "--grid", str(grid), "--format", fmt)
             assert got == (0, want.getvalue(), ""), (source, level, grid, fmt)
 
@@ -355,6 +357,62 @@ def test_eval_region_streams_in_bounded_memory(tmp_path):
     # Past the cap nothing is written: the check runs before the first chunk.
     code, out, _ = json.loads(run_fresh(PEAK_PROBE, json.dumps(argv[:7] + ["--region", "27"])))
     assert code == 3 and out == ""
+
+
+TABLE_PEAKS = """
+import json, os, sys, tempfile, tracemalloc
+import ghostmeasure.cli
+ghostmeasure._util.numpy()  # loading numpy is not the table's memory
+ghostmeasure.cli.build_parser()
+peaks = []
+with tempfile.TemporaryDirectory() as tmp:
+    for argv in json.loads(sys.argv[1]):
+        tracemalloc.start()
+        code = ghostmeasure.cli.main([*argv, "--out", os.path.join(tmp, "table")])
+        peaks.append([code, tracemalloc.get_traced_memory()[1]])
+        tracemalloc.stop()
+print(json.dumps(peaks))
+"""
+
+
+def test_tables_stream_in_bounded_memory():
+    # Every table goes to the writer 2^10 rows at a time, so what its peak
+    # holds per row is fourier's coefficient arrays (about 190 bytes per t)
+    # and one chunk's Python values spread over 2^16 rows.  Measured peaks per
+    # row: 195, 3, 2 and 6 bytes; whole-table lists gave 234, 110, 74 and
+    # 288 bytes.
+    cases = [(["fourier", "--params", "1", "2", "0", "1", "1", "--t", "1..65536"], 65536, 215),
+             (["cdf", "--catalog", "identity", "--N", "20", "--grid", "65536"], 65536, 5),
+             (["density", "--params", "2", "2", "0", "1", "1", "--grid", "65536", "--depth", "40"],
+              65536, 5),
+             (["jsr-table", "--sweep", "15"], 16**4 - 1, 9)]
+    peaks = json.loads(run_fresh(TABLE_PEAKS, json.dumps([argv for argv, _, _ in cases])))
+    for (argv, rows, bound), (code, peak) in zip(cases, peaks):
+        assert code == 0 and peak / rows < bound, (argv[0], peak / rows)
+
+
+@pytest.mark.parametrize("signum, code, err", [(signal.SIGTERM, 143, ""),
+                                               (signal.SIGINT, 130, "interrupted\n")])
+def test_signal_during_out_leaves_no_file(tmp_path, signum, code, err):
+    # The console entry point, signalled once --out's temporary file exists,
+    # removes it and exits 128 + the signal number, with no traceback.
+    src = str(Path(ghostmeasure.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["fourier", "--params", "1", "2", "0", "1", "1", "--t", "1..1000000", "--out", "t.csv"]
+    proc = subprocess.Popen([sys.executable, "-m", "ghostmeasure.cli", *argv], cwd=tmp_path, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not any(tmp_path.glob(".ghostmeasure-*.tmp")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signum)
+        out, got = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, out, got) == (code, "", err)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_threads_do_not_change_output(capsys):

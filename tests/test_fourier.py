@@ -29,7 +29,7 @@ from ghostmeasure import (
     wiener_average,
     wiener_profile,
 )
-from ghostmeasure.fourier import TAU
+from ghostmeasure.fourier import TAU, _held
 
 from comb_fft import comb_fft
 
@@ -90,6 +90,26 @@ def test_recursive_level_guard():
 
 
 SMALL_PARAMS = [AffineParams(*c, 1) for c in itertools.product(range(3), repeat=4) if any(c)]
+
+
+@pytest.mark.parametrize("level", [None, 3, 70])
+def test_table_takes_ranges_as_their_ints(level):
+    # A range stands for its ints, as an int64 np.arange where its ends fit
+    # and as Python ints past int64: the same bits as the flat list of t.
+    edge = 2**63
+    for spans in ([range(1, 40)], [range(-50, -20), 7, 8, range(100, 90, -1), 0],
+                  [3, range(edge - 5, edge + 5), range(-edge - 3, -edge + 3)], [], [range(0)],
+                  [range(edge - 3, edge), range(-edge + 2, -edge - 1, -1)],
+                  # Steps whose element count np.arange would round in doubles.
+                  [range(-edge, edge - 1, edge - 1), range(edge - 1, -edge, 1 - edge),
+                   range(-6, 2**62 + 6, 2**55)]):
+        flat = [t for s in spans for t in ([s] if isinstance(s, int) else s)]
+        for p in (catalog_lookup("gould_G").params, AffineParams(1, 2, 0, 1, 1), AffineParams(0, 0, 2, 1, 3)):
+            got, want = coeff_table(p, spans, level=level), coeff_table(p, flat, level=level)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (spans, p, level)
+    assert coeff_table(IDENTITY, range(5)).re.size == 5
+    assert _held(range(edge - 3, edge)).dtype == np.int64
 
 
 def test_level_tables_are_exactly_one_on_multiples_of_two_to_the_n():

@@ -300,6 +300,19 @@ def test_ratio_sequence_2c_all_ones_exact_growth():
     assert abs(exact[32] / exact[31] - Fraction(4, 3)) < Fraction(1, 10**9)
 
 
+@pytest.mark.parametrize("params", [(1, 1, 0, 1, 1), (2, 2, 0, 0, 1), (1, 0, 3, 0, 0)])
+def test_ratio_sequence_lebesgue_cases_are_exactly_one(params):
+    # Cases 1A and 2A (Lebesgue measure): every ratio is exactly 1, also over
+    # 10^5 digits, where a j-bit division per digit would take seconds.
+    p = AffineParams(*params)
+    bits = "0" * 10**5
+    ratios = ratio_sequence(p, bits)
+    assert len(ratios) == 10**5 and set(map(float.hex, ratios)) == {(1.0).hex()}
+    exact = ratio_sequence_exact(p, bits)
+    assert len(exact) == 10**5 and set(exact) == {Fraction(1)}
+    assert ratio_sequence(p, "") == ratio_sequence_exact(p, "") == []
+
+
 def test_ratio_sequence_2c_alternating_bits_value():
     # frozen from the exact closed form; decreasing by 8/9 per digit pair
     p = AffineParams(1, 2, 1, 0, 1)

@@ -235,7 +235,7 @@ def test_shared_descent_matches_prefix_sums(case):
     assume(big_sigma(p, level) > 0)  # no comb has total 0
     comb = build_comb(p, level)
     prefix = list(itertools.accumulate(comb.weights))
-    got = _masses_through(comb, idxs)
+    got = list(_masses_through(comb, idxs, len(idxs)))
     assert got == [prefix[i] for i in idxs]
     assert got == [mass_through_oracle(comb, i) for i in idxs]
 
@@ -635,11 +635,50 @@ def test_emit_matches_per_value_writer(table):
     out = io.StringIO()
     if emit_refuses(cols, fmt):
         with pytest.raises(ValueError):
-            _emit(header, cols, fmt, out)
+            _emit(header, [cols], fmt, out)
         assert out.getvalue() == ""
         return
-    _emit(header, cols, fmt, out)
+    _emit(header, [cols], fmt, out)
     assert out.getvalue() == emit_oracle(header, list(zip(*cols)), fmt)
+
+
+@st.composite
+def chunked_tables(draw) -> tuple[list[str], list[list[list]], str]:
+    """A table of tables() cut at drawn rows into chunks (empty ones among
+    them), and half the time one more chunk of 1-3 rows whose columns draw
+    their kinds afresh, so that a column may change its kind there."""
+    header, cols, fmt = draw(tables())
+    n = len(cols[0])
+    bounds = [0, *sorted(draw(st.lists(st.integers(0, n), max_size=4))), n]
+    chunks = [[col[lo:hi] for col in cols] for lo, hi in zip(bounds, bounds[1:])]
+    if draw(st.booleans()):
+        kinds = [CELL_INTS, CELL_STRINGS, FINITE_FLOATS if fmt == "json" else CELL_FLOATS]
+        m = draw(st.integers(1, 3))
+        chunks.append([draw(st.lists(draw(st.sampled_from(kinds)), min_size=m, max_size=m))
+                       for _ in header])
+    return header, chunks, fmt
+
+
+@PROPERTY
+@given(chunked_tables())
+@example((["x", "y"], [], "json"))  # no chunks: an empty table
+@example((["x", "y"], [[], [[], []], [[1], ["a"]]], "json"))  # chunks of no rows
+@example((["x"], [[[1, 2]], [[3.0]]], "csv"))  # refused in the second chunk
+@example((["x"], [[[1.0, math.inf]], [[2.0]]], "json"))  # refused in the first chunk
+@example((["x"], [[["a", 1]], [["b"]]], "csv"))  # refused in the first chunk
+def test_emit_over_chunks_matches_the_whole_table(table):
+    header, chunks, fmt = table
+    whole = [[v for chunk in chunks if chunk for v in chunk[i]] for i in range(len(header))]
+    out = io.StringIO()
+    if emit_refuses(whole, fmt):
+        with pytest.raises(ValueError):
+            _emit(header, chunks, fmt, out)
+        first = next(chunk for chunk in chunks if chunk and len(chunk[0]))
+        # A chunk is checked whole before any of its rows is written.
+        assert (out.getvalue() == "") == emit_refuses(first, fmt)
+        return
+    _emit(header, chunks, fmt, out)
+    assert out.getvalue() == emit_oracle(header, list(zip(*whole)), fmt)
 
 
 def cli_output(argv_: list[str]) -> str:

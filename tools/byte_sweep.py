@@ -40,9 +40,15 @@ among them, and A0 = 0 with f(1) = 0 and b_keep = 0) at `--nmax` 0, 1, 10
 and 300, `jsr-table` at `--sweep` 0
 (an empty table), 1, 3 and 9, one-row `density --bits` tables over three
 case-2B sets at depths 0 to 64, `wiener` with `--n-min` equal to
-`--n-max`, and `fourier --t 0`; and `interval` and `classify`, each with
-and without `--out`.  `--argvs` replaces the list with a JSON list of argv
-lists.
+`--n-max`, and `fourier --t 0`.  The tables that are written in chunks of
+1024 rows run at the chunk's edges, in CSV and JSON: `fourier` (limit and
+recursive) and `cdf` at 1023, 1024, 1025 and 5121 rows, `fourier` also
+over a negative `--t` range, a range across 2^63 and a comma list of ranges
+and single `t`; `points` at 1023, 1024, 1025 and 4097 rows; `density` at
+grids 512 to 8192 (powers of two) and `jsr-table` at `--sweep` 4, 5 and 7
+(624, 1295 and 4095 rows); and one run of each with `--out`.  Last
+come `interval` and `classify`, each with and without `--out`.  `--argvs`
+replaces the list with a JSON list of argv lists.
 
 Some runs are expected mismatches against older trees: A = 0 with
 b0 = 10^400 at N = 3 (exit 1 with `OverflowError` where the A = 0 branch
@@ -184,11 +190,21 @@ INTERVALS = [["--params", "2", "2", "0", "1", "1", "--bits", "1"],
              ["--params", "2", "2", "0", "1", "1", "--bits", "01", "--N", "6"]]
 CLASSIFY_PARAMS = [["--catalog", "gould_G"], ["--params", "3", "0", "0", "1", "1"],
                    ["--params", "1", BIG, "0", "1", "1"]]
+# Streamed tables at the writer's chunk edges: 1023, 1024 and 1025 rows, and
+# several chunks (4097 or more rows).  `density` grids are powers of two and
+# `jsr-table` has (s+1)^4 - 1 rows, so they take the sizes they can.
+CHUNK_T = ["1..1023", "1..1024", "1..1025", "1..5121", "-2100..-1",
+           f"{2**63 - 600}..{2**63 + 600}", f"-3..3,1..1023,{2**63},-1100..-1090"]
+CHUNK_CDF = ["1023", "1024", "1025", "5121"]
+CHUNK_DENSITY = [("512", "40"), ("1024", "40"), ("2048", "10"), ("8192", "40")]
+CHUNK_POINTS = ["1022", "1023", "1024", "4096"]
+CHUNK_SWEEPS = ["4", "5", "7"]
 
 
 def sweep() -> list[list[str]]:
     """The README examples, then the eval --region, cdf, fourier, wiener and
-    density runs, then the points, jsr-table, interval and classify runs."""
+    density runs, then the points and jsr-table runs, the streamed tables at
+    the chunk edges, and the interval and classify runs."""
     runs = list(README)
     for params in CDF_PARAMS:
         for level in ("0", "1", "2", "5", "12", "13"):
@@ -281,6 +297,25 @@ def sweep() -> list[list[str]]:
                 runs.append(["wiener", *params, "--n-min", level, "--n-max", level, *fmt])
             runs.append(["fourier", *params, "--t", "0", *fmt])
             runs.append(["fourier", *params, "--t", "0", "--mode", "recursive", "--N", "5", *fmt])
+    for fmt in FORMATS:
+        for t in CHUNK_T:
+            runs.append(["fourier", "--params", "1", "2", "0", "1", "1", f"--t={t}", *fmt])
+            runs.append(["fourier", "--catalog", "gould_G", f"--t={t}", "--mode", "recursive",
+                         "--N", "40", *fmt])
+        for grid in CHUNK_CDF:
+            runs.append(["cdf", "--params", "1", "2", "0", "1", "1", "--N", "14", "--grid", grid, *fmt])
+        for grid, depth in CHUNK_DENSITY:
+            runs.append(["density", "--catalog", "cantor", "--grid", grid, "--depth", depth, *fmt])
+        for n_max in CHUNK_POINTS:
+            runs.append(["points", "--params", "3", "0", "0", "1", "1", "--nmax", n_max, *fmt])
+        for size in CHUNK_SWEEPS:
+            runs.append(["jsr-table", "--sweep", size, *fmt])
+    for argv in (["fourier", "--params", "1", "2", "0", "1", "1", "--t", CHUNK_T[3]],
+                 ["cdf", "--catalog", "identity", "--N", "20", "--grid", CHUNK_CDF[3]],
+                 ["density", "--catalog", "cantor", "--grid", CHUNK_DENSITY[3][0], "--depth", "40"],
+                 ["points", "--params", "0", "3", "0", "1", "1", "--nmax", CHUNK_POINTS[3]],
+                 ["jsr-table", "--sweep", CHUNK_SWEEPS[2]]):
+        runs.append([*argv, "--out", "table.csv"])
     for out in ([], ["--out", "result.txt"]):
         for args in INTERVALS:
             runs.append(["interval", *args, *out])
