@@ -12,9 +12,9 @@
     ghostmeasure jsr-table --sweep 5
 
 Tables go to stdout or --out as CSV (17 significant digits, stable bytes)
-or JSON records, streamed in chunks of rows.  Exit codes: 0 ok, 2 domain
-error, 3 resource cap, 4 I/O; from the console script also 130 on SIGINT and
-143 on SIGTERM.
+or JSON records, streamed in chunks of rows.  Exit codes: 0 ok, 1 numpy
+missing for a command that needs it, 2 domain error, 3 resource cap, 4 I/O;
+from the console script also 130 on SIGINT and 143 on SIGTERM.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import itertools
 import math
 import os
 import sys
-from typing import Iterator
 
 from . import approximant, fourier, ghost, linrep, sequence
 from .errors import DomainError, ResourceCapError
@@ -146,13 +145,13 @@ def _resolve_params(args) -> sequence.AffineParams:
     return sequence.AffineParams(*args.params)
 
 
-def _parse_t_spec(spec: str) -> Iterator[range]:
+def _parse_t_spec(spec: str) -> list[range]:
     """The t of spec in order, one nonempty range per lo..hi part or integer.
 
-    DomainError, at the part it reaches, for a part that is neither; once
-    every part is read, for a spec of no t at all.
+    DomainError for the first part that is neither; once every part is read,
+    for a spec of no t at all.
     """
-    empty = True
+    spans = []
     for part in spec.split(","):
         part = part.strip()
         try:
@@ -164,10 +163,10 @@ def _parse_t_spec(spec: str) -> Iterator[range]:
         except ValueError:
             raise DomainError(f"t specification {spec!r}: {part!r} is not an integer or lo..hi range")
         if span:
-            empty = False
-            yield span
-    if empty:
+            spans.append(span)
+    if not spans:
         raise DomainError(f"empty t specification {spec!r}")
+    return spans
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +209,7 @@ def _cmd_cdf(args, out) -> int:
 
 def _cmd_fourier(args, out) -> int:
     params = _resolve_params(args)
-    spans = list(_parse_t_spec(args.t))
+    spans = _parse_t_spec(args.t)
     if args.mode != "limit" and args.N is None:
         raise DomainError(f"--mode {args.mode} requires --N")
     tab = fourier.coeff_table(params, spans, args.tol, None if args.mode == "limit" else args.N)
@@ -428,6 +427,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print("missing module: numpy, which this command needs", file=sys.stderr)
+        return 1
     finally:
         if digits:
             sys.set_int_max_str_digits(digits)

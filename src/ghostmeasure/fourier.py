@@ -37,8 +37,10 @@ division by a real), the operations it enters are left out wherever the
 IEEE rules show that no bit changes (_factor, _signs): a trig level of the
 kernel takes 17 array operations (5 to the phase, 6 to the factor, 6 to
 the product in place), a level of the per-t pass 15 (3 to pick its factor
-and indicator coefficient, 6 to the term, 6 to the product).  t is held
-as int64 whenever every t fits, and as Python ints otherwise.
+and indicator coefficient, 6 to the term, 6 to the product).  _held alone
+holds t, as int64 whenever every t fits and as Python ints otherwise.  The
+2-adic valuation v2(t) of every t, read once, decides which t run, the
+atoms of the A = 0 comb (v2(t) = N - 1) and the keys below.
 
 w_n depends on t only through t mod 2^n: for t = 2^a b with b odd,
 w_n(t) = w_{n-a}(b) for n > a+1, and the phase is exactly -1 at n = a+1
@@ -98,7 +100,7 @@ class CoeffValue(namedtuple("CoeffValue", "value tail_bound depth")):
 
 
 def _v2(t: int) -> int:
-    """2-adic valuation of t != 0."""
+    """2-adic valuation of t, -1 at t = 0."""
     t = abs(t)
     return (t & -t).bit_length() - 1
 
@@ -235,24 +237,23 @@ def _phases(odd: np.ndarray):
     """The one phase source: e^{-2 pi i b/2^n} for the first m odd b at level
     n >= 2, equal to _unit_phase(b, n) bit for bit.
 
-    odd holds the odd keys as _evaluate does: int64 when every keyed t fits,
-    Python ints otherwise.  At n = 2 the phase is exactly (b mod 4) - 2
-    times i, read off low = b & (2^63 - 1), an int64 for any int b.  At
-    n >= 3 no odd b is a quarter point: r = b mod 2^n is low & (2^n - 1) for
-    n <= 63 and low itself for b in [0, 2^63), and the angle is one int64 by
-    double product r (TAU 2^-n): the scaling by 2^-n is exact while the
-    product stays a normal double, which n <= 1022 ensures, so it equals
-    the scalar TAU (r/2^n) bit for bit.  The other (b, n) pairs, n > 63 with
-    b outside [0, 2^63) and every b at n > 1022, take _unit_phase.  Five
-    array operations per trig level: the mask, the angle, cos, sin and the
-    sign of sin.
+    odd holds the odd keys in the dtype _held gave the table.  At n = 2 the
+    phase is exactly (b mod 4) - 2 times i, read off low = b & (2^63 - 1),
+    an int64 for any int b.  At n >= 3 no odd b is a quarter point:
+    r = b mod 2^n is low & (2^n - 1) for n <= 63 and low itself for b in
+    [0, 2^63), and the angle is one int64 by double product r (TAU 2^-n):
+    the scaling by 2^-n is exact while the product stays a normal double,
+    which n <= 1022 ensures, so it equals the scalar TAU (r/2^n) bit for
+    bit.  The other (b, n) pairs, n > 63 with b outside [0, 2^63) and every
+    b at n > 1022, take _unit_phase.  Five array operations per trig level:
+    the mask, the angle, cos, sin and the sign of sin.
     """
     np = numpy()
     low = (odd & _LOW_BITS).astype(np.int64)
-    other = None
+    # Positions of the b outside [0, 2^63), where low is not b itself.
+    other = np.flatnonzero(low != odd).tolist()
 
     def phase(n: int, m: int):
-        nonlocal other
         if n == 2:
             return np.zeros(m), (low[:m] & 3) - 2.0
         r = low[:m] & ((1 << n) - 1) if n <= 63 else low[:m]
@@ -260,10 +261,6 @@ def _phases(odd: np.ndarray):
         re, im = np.cos(ang), np.sin(ang, out=ang)
         np.negative(im, out=im)
         if n > 63:
-            if other is None:
-                # Positions of the b outside [0, 2^63), where low is not b
-                # itself; found at the first level past 63, if any.
-                other = np.flatnonzero((odd < 0) | (odd > _LOW_BITS)).tolist()
             for i in range(m) if n > 1022 else other:
                 if i >= m:
                     break
@@ -450,7 +447,8 @@ def _product_depths(params: AffineParams, tabs: np.ndarray, v2: np.ndarray, tol:
 
 def _held(ts) -> np.ndarray:
     """The t of ts in order as one array: int64 where numpy holds every t as
-    one, Python ints (dtype object) otherwise.
+    one, Python ints (dtype object) otherwise: the one choice of dtype,
+    which every later step of coeff_table keeps.
 
     ts is a range, or an iterable of ints and ranges, a range standing for
     its ints in order.  A range whose ends fit in int64 is one int64 array
@@ -490,12 +488,14 @@ def coeff_table(params: AffineParams, ts: Iterable, tol: float = 1e-12,
                 level: Optional[int] = None) -> CoeffTable:
     """mu^(t) (level None, truncated at tol) or mu_N^(t) at level N, for every t.
 
-    One batched pass over the nonzero t, of any size or sign: the product
-    runs once per distinct key (odd part b, depth D - v2(t)), keys sorted by
-    depth into blocks of _BLOCK, and then each t runs its last
-    min(v2(t) + 1, D) levels with the indicator sum, both passes through one
-    split re/im kernel with the trig phases of _phases or the exact signs
-    of the last levels.  ts is a range, or an iterable of ints and ranges
+    One batched pass over the t that run, of any size or sign: the t with
+    0 <= v2(t) < N at level N, every t != 0 in limit tables, as the one
+    array of v2(t) (-1 at t = 0) says, which also picks the A = 0 atoms.
+    The product runs once per distinct key (odd part b, depth D - v2(t)),
+    keys sorted by depth into blocks of _BLOCK, and then each t runs its
+    last min(v2(t) + 1, D) levels with the indicator sum, both passes
+    through one split re/im kernel with the trig phases of _phases or the
+    exact signs of the last levels.  ts is a range, or an iterable of ints and ranges
     (see _held).  Every value is bit-identical to the scalar complex
     formula of coeff_limit or coeff_recursive for that t alone.  In limit
     tables tail_bound covers the truncation of the infinite product only,
@@ -517,32 +517,31 @@ def coeff_table(params: AffineParams, ts: Iterable, tol: float = 1e-12,
     re, im = np.zeros(size), np.zeros(size)
     tail, depth = np.zeros(size), np.zeros(size, dtype=np.int64)
     with np.errstate(all="ignore"):
-        # t mod 2^N != 0 is t & (2^N - 1) != 0, and t != 0 (the mask -1) for
-        # an int64 t past N = 63 and in limit tables.
-        mask = -1 if level is None else (1 << level) - 1
-        run = (ts & (mask if mask <= _LOW_BITS or ts.dtype == object else -1)) != 0
+        # v2(t) of every t, -1 at t = 0: t and low = t mod 2^63 share it
+        # unless low = 0.
+        low = (ts & _LOW_BITS).astype(np.int64)
+        v2 = np.frexp((low & -low).astype(np.float64))[1].astype(np.int64) - 1
+        for j in np.flatnonzero(low == 0).tolist():
+            v2[j] = _v2(int(ts[j]))
+        # t runs where t != 0 (mod 2^N), that is 0 <= v2(t) < N; every t != 0
+        # in limit tables.
+        run = v2 >= 0 if level is None else (v2 >= 0) & (v2 < level)
         re[~run] = 1.0
         idx = np.flatnonzero(run)
         # b != 0 with A <= 2: the limit is exactly 0 off t = 0.
         zero_limit = level is None and not params.homogeneous and params.a <= 2
         if idx.size and level is not None and params.a == 0:
             # The comb alternates b0, b1: (b0 + b1 e^{-2 pi i t/2^N})/b on
-            # 2^(N-1) Z, where the phase is exactly -1 off 2^N Z, and 0 elsewhere.
-            # The multiples of 2^(N-1), by the mask 2^(N-1) - 1 as above.
-            half = (1 << (level - 1)) - 1
+            # 2^(N-1) Z, where the phase is exactly -1 off 2^N Z, and 0 elsewhere:
+            # the atoms are the t that run with v2(t) = N - 1.
             b0, b1, b = _doubles((params.b0, params.b1, params.b))
             minus = (b0 + b1 * complex(-1.0, 0.0)) / b
-            on = (ts[idx] & (half if half <= _LOW_BITS or ts.dtype == object else -1)) == 0
+            on = v2[idx] == level - 1
             re[idx] = np.where(on, minus.real, 0.0)
             im[idx] = np.where(on, minus.imag, 0.0)
             tail[idx] = _level_bound(level, b)
         elif idx.size and not zero_limit:
-            tn = ts[idx]
-            low = (tn & _LOW_BITS).astype(np.int64)
-            # t and low = t mod 2^63 share their 2-adic valuation unless low = 0.
-            v2 = np.frexp((low & -low).astype(np.float64))[1].astype(np.int64) - 1
-            for j in np.flatnonzero(low == 0).tolist():
-                v2[j] = _v2(int(tn[j]))
+            tn, v2 = ts[idx], v2[idx]
             if level is None:
                 try:
                     tabs = np.abs(tn.astype(np.float64))
@@ -568,8 +567,8 @@ def _evaluate(params, tn, d, v2, norm):
     The product of levels v2+2..d of t = 2^v2 b is that of levels 2..d-v2
     of b, so the kernel runs once per distinct key (b, d - v2) with
     d - v2 >= 2 down to level 2, and _phases sees only odd b at levels
-    n >= 2, in the array held here.  The kernel then takes each t from its
-    key's product, or from 1 without a key, through its last
+    n >= 2, in the dtype _held gave tn.  The kernel then takes each t from
+    its key's product, or from 1 without a key, through its last
     min(v2 + 1, d) levels down to level 1, at the phase -1 at n = v2 + 1
     and 1 below.
     """
@@ -578,14 +577,10 @@ def _evaluate(params, tn, d, v2, norm):
     c = _floats(params, int(last.max()) if norm is not None else 0)
     reduced = d - v2
     keyed = np.flatnonzero(reduced >= 2)
-    # The exact odd parts b, as int64 when every keyed t fits and as Python
-    # ints otherwise, so t that agree on their low 63 bits never share a key.
-    # Sorting by decreasing depth, then b, puts equal keys side by side and
-    # the keys in kernel order.
-    try:
-        odd = tn[keyed].astype(np.int64) >> v2[keyed]
-    except OverflowError:
-        odd = tn[keyed] >> v2[keyed]
+    # The exact odd parts b, in tn's dtype, so t that agree on their low 63
+    # bits never share a key.  Sorting by decreasing depth, then b, puts
+    # equal keys side by side and the keys in kernel order.
+    odd = tn[keyed] >> v2[keyed]
     kdepth = reduced[keyed]
     order = np.lexsort((odd, -kdepth))
     odd, kdepth = odd[order], kdepth[order]

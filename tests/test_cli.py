@@ -415,6 +415,47 @@ def test_signal_during_out_leaves_no_file(tmp_path, signum, code, err):
     assert list(tmp_path.iterdir()) == []
 
 
+MISSING_NUMPY = r"""
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # import numpy now raises ModuleNotFoundError
+from ghostmeasure.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_missing_numpy_is_exit_1_with_one_line(tmp_path):
+    # Without numpy, fourier and wiener (also with --out) exit 1 with one line
+    # on stderr and leave no file; classify, which loads no numpy, still runs.
+    src = str(Path(ghostmeasure.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argvs = [["fourier", "--params", "1", "2", "0", "1", "1", "--t", "1..8"],
+             ["wiener", "--params", "1", "2", "0", "1", "1", "--n-max", "4", "--out", "w.csv"],
+             ["classify", "--params", "3", "0", "0", "1", "1"]]
+    proc = subprocess.run([sys.executable, "-c", MISSING_NUMPY, json.dumps(argvs)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    fourier, wiener, classify = json.loads(proc.stdout)
+    line = "missing module: numpy, which this command needs\n"
+    assert fourier == wiener == [1, "", line]
+    assert classify[0] == 0 and classify[1].startswith("2D ") and classify[2] == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_other_missing_module_is_not_caught(monkeypatch):
+    def fail(*args, **kwargs):
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+
+    monkeypatch.setattr("ghostmeasure.fourier.coeff_table", fail)
+    with pytest.raises(ModuleNotFoundError):
+        main(["fourier", "--params", "1", "2", "0", "1", "1", "--t", "1..8"])
+
+
 def test_threads_do_not_change_output(capsys):
     for args in (["fourier", "--catalog", "cantor", "--t", "1..32", "--mode", "limit"],
                  ["density", "--params", "2", "2", "0", "1", "1", "--grid", "64"]):

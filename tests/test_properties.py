@@ -1,12 +1,12 @@
 """Property tests: independent evaluation paths agree, exact folds equal their
 term-by-term sums, the shared-prefix density grid equals its per-point
 folds, the shared cdf descent equals prefix sums of the atoms, the
-batched coefficient kernel equals the scalar complex
-loops bit for bit, level-N coefficients lie within their rounding bound
-of comb sums, the dyadic and 2D closed forms equal their Fraction
-chains, 2D atoms exhaust the mass, the CLI exit-code contract holds and its
-JSON tables are strict JSON, and the row-template table writer prints the
-bytes of a per-value writer or refuses the column.
+batched coefficient kernel equals the scalar complex loops bit for bit
+whether t is held as int64 or as Python ints, level-N coefficients lie
+within their rounding bound of comb sums, the dyadic and 2D closed forms
+equal their Fraction chains, 2D atoms exhaust the mass, the CLI exit-code
+contract holds and its JSON tables are strict JSON, and the row-template
+table writer prints the bytes of a per-value writer or refuses the column.
 
 Hypothesis runs derandomized with small bounded strategies, so every run
 draws the same examples and the suite's time barely moves.
@@ -55,8 +55,8 @@ from ghostmeasure import (
 )
 from ghostmeasure.approximant import _masses_through
 from ghostmeasure.cli import _emit, main
-from ghostmeasure.fourier import (_BLOCK, TAU, _factor, _floats, _level_bound, _mul_into, _phases,
-                                  _signs, _unit_phase, _v2)
+from ghostmeasure.fourier import (_BLOCK, TAU, _factor, _floats, _held, _level_bound, _mul_into,
+                                  _phases, _signs, _unit_phase, _v2)
 from ghostmeasure.ghost import _density_grid
 from ghostmeasure.sequence import _block_sum
 
@@ -1004,8 +1004,9 @@ def test_kernel_asks_phases_only_for_odd_keys_from_level_two(monkeypatch):
     """The contract test_phases_match_unit_phase relies on: over a table of
     even, negative, 2^63-multiple and beyond-2^64 t, in limit mode and at
     recursive N = 2, 70 and 1100, every key the kernel hands _phases is odd
-    and every level it asks for is >= 2; the keys come as int64 and as
-    Python ints."""
+    and every level it asks for is >= 2.  The keys come in the dtype the
+    table is held in: Python ints for that table, and int64 for the same
+    calls over its int64 t alone."""
     served, dtypes = [], set()
 
     def spy(odd):
@@ -1022,13 +1023,69 @@ def test_kernel_asks_phases_only_for_odd_keys_from_level_two(monkeypatch):
     ts = (list(range(-40, 41)) + [j * 2**63 for j in (1, -1, 2, 3, -5)]
           + [2**64 + 2, 3 * 2**65, -(2**70) - 6, 2**100 + 4, 3**90 * 8])
     p = AffineParams(1, 2, 0, 1, 1)
-    coeff_table(p, ts)
-    for level in (2, 70, 1100):
-        coeff_table(p, ts, level=level)
+    for table in (ts, [t for t in ts if -(2**63) <= t < 2**63]):
+        coeff_table(p, table)
+        for level in (2, 70, 1100):
+            coeff_table(p, table, level=level)
     levels = {n for n, _ in served}
     assert min(levels) == 2 and max(levels) == 1100
     assert all(b % 2 for _, keys in served for b in keys)
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+# int64 t: 0, negatives, powers of two up to 2^62 and the int64 edges among
+# them; and one t past int64 to add to a table so that it is held as ints.
+INT64_T = st.one_of(
+    st.integers(-300, 300),
+    st.builds(lambda k, m, s: s * m * 2**k, st.integers(0, 62), st.sampled_from([1, 3]),
+              st.sampled_from([1, -1])).filter(lambda t: -(2**63) <= t < 2**63),
+    st.sampled_from([0, 2**62, -(2**62), -(2**63), 2**63 - 1]),
+    st.integers(-(2**63), 2**63 - 1),
+)
+PAST_INT64 = st.sampled_from([2**63, -(2**63) - 1, 2**64, -(2**64) + 2, 3 * 2**70 + 1])
+A_ZERO = AffineParams(0, 0, 2, 1, 3)
+EDGES = [0, 1, -1, 2, -6, 2**61, 2**62, -(2**62), 3 * 2**61, -3 * 2**61, -(2**63), 2**63 - 1, 2**63 - 2]
+
+
+@PROPERTY
+@given(st.one_of(kernel_params(), st.just(A_ZERO)), st.sampled_from([None, 0, 1, 2, 62, 63, 64, 70]),
+       st.lists(INT64_T, min_size=1, max_size=8), PAST_INT64)
+@example(A_ZERO, None, EDGES, 2**64)
+@example(A_ZERO, 0, EDGES, 2**64)
+@example(A_ZERO, 1, EDGES, 2**64)
+@example(A_ZERO, 2, EDGES, -(2**63) - 1)
+@example(A_ZERO, 62, EDGES, 2**63)
+@example(A_ZERO, 63, EDGES, 3 * 2**70 + 1)
+@example(A_ZERO, 64, EDGES, 2**64)
+@example(A_ZERO, 70, EDGES, -(2**64) + 2)
+@example(AffineParams(1, 2, 0, 1, 1), None, EDGES, 2**64)
+@example(AffineParams(1, 2, 0, 1, 1), 63, EDGES, 2**63)
+@example(AffineParams(1, 2, 0, 1, 1), 64, EDGES, -(2**63) - 1)
+def test_dtype_does_not_change_a_value(p, level, ts, past):
+    """A table of int64 t equals, row for row and bit for bit (re, im,
+    tail_bound as float.hex, and depth), the same t held as Python ints by
+    one more t past int64, whose row is then dropped: in limit mode and at
+    levels 0 to 70, the A = 0 comb among the sets.  Where one table is a
+    domain error, so is the other with the same message, unless the added t
+    alone is one."""
+    def table(ts):
+        try:
+            return coeff_table(p, ts, level=level)
+        except DomainError as exc:
+            return str(exc)
+
+    assert _held(ts).dtype == np.int64 and _held([*ts, past]).dtype == object
+    int64, ints = table(ts), table([*ts, past])
+    if isinstance(ints, str) and not isinstance(int64, str):
+        assert isinstance(table([past]), str)
+        return
+    if isinstance(int64, str):
+        assert ints == int64
+        return
+    for field in ("re", "im", "tail_bound"):
+        want = list(map(bits, getattr(int64, field).tolist()))
+        assert list(map(bits, getattr(ints, field)[:len(ts)].tolist())) == want, field
+    assert ints.depth[:len(ts)].tolist() == int64.depth.tolist()
 
 
 def kernel_keys(ts, depth_of) -> set:

@@ -46,8 +46,14 @@ recursive) and `cdf` at 1023, 1024, 1025 and 5121 rows, `fourier` also
 over a negative `--t` range, a range across 2^63 and a comma list of ranges
 and single `t`; `points` at 1023, 1024, 1025 and 4097 rows; `density` at
 grids 512 to 8192 (powers of two) and `jsr-table` at `--sweep` 4, 5 and 7
-(624, 1295 and 4095 rows); and one run of each with `--out`.  Last
-come `interval` and `classify`, each with and without `--out`.  `--argvs`
+(624, 1295 and 4095 rows); and one run of each with `--out`.  Then, in
+CSV and JSON, `fourier` runs the A = 0 comb (two sets, b1 = 2^80 in one)
+at N = 1, 2, 63, 64 and 65 over t at and beside the multiples of 2^(N-1),
+inside and past int64; level-N tables (N = 1, 5, 40 and 63) whose `--t`
+mixes multiples of 2^N past int64 with int64 t, so the table is held as
+Python ints while every t that runs fits in int64; and t = 0 inside
+ranges in limit mode and at N = 0, 1 and 64.  Last come `interval` and
+`classify`, each with and without `--out`.  `--argvs`
 replaces the list with a JSON list of argv lists.
 
 Some runs are expected mismatches against older trees: A = 0 with
@@ -199,12 +205,31 @@ CHUNK_CDF = ["1023", "1024", "1025", "5121"]
 CHUNK_DENSITY = [("512", "40"), ("1024", "40"), ("2048", "10"), ("8192", "40")]
 CHUNK_POINTS = ["1022", "1023", "1024", "4096"]
 CHUNK_SWEEPS = ["4", "5", "7"]
+# The A = 0 comb, whose atoms are the t with v2(t) = N - 1, at levels either
+# side of 63; level-N tables held as Python ints whose t that run all fit in
+# int64 (multiples of 2^N past int64 among int64 t); and t = 0 inside ranges.
+A_ZERO_PARAMS = [["--params", "0", "0", "2", "1", "3"], ["--params", "0", "0", "0", BIG, "1"]]
+A_ZERO_LEVELS = ["1", "2", "63", "64", "65"]
+PAST_INT64_MULTIPLES = [("1", f"1..20,{2**64},{-3 * 2**70}"), ("5", f"-40..40,{2**64 + 32}"),
+                        ("40", f"{2**63 - 9}..{2**63 - 1},{2**80}"),
+                        ("63", f"-9..9,{2**63},{-(2**64)},{2**63 - 1}")]
+ZERO_IN_RANGES = ["-70..70", f"-5..5,{2**64 - 2}..{2**64 + 2}"]
+
+
+def a_zero_ts(level: int) -> str:
+    """t at and beside the multiples k 2^(N-1) of the A = 0 comb: small k,
+    k next to the int64 edges, and k past them."""
+    step = 1 << (level - 1)
+    ks = [*range(-3, 4), (2**63 - 1) // step, -(2**63) // step, 2**70 // step + 1,
+          -(2**72 // step) - 1]
+    return ",".join(str(k * step + d) for k in ks for d in (-1, 0, 1))
 
 
 def sweep() -> list[list[str]]:
     """The README examples, then the eval --region, cdf, fourier, wiener and
     density runs, then the points and jsr-table runs, the streamed tables at
-    the chunk edges, and the interval and classify runs."""
+    the chunk edges, the fourier runs by 2-adic valuation, and the interval
+    and classify runs."""
     runs = list(README)
     for params in CDF_PARAMS:
         for level in ("0", "1", "2", "5", "12", "13"):
@@ -310,6 +335,21 @@ def sweep() -> list[list[str]]:
             runs.append(["points", "--params", "3", "0", "0", "1", "1", "--nmax", n_max, *fmt])
         for size in CHUNK_SWEEPS:
             runs.append(["jsr-table", "--sweep", size, *fmt])
+    for fmt in FORMATS:
+        for params in A_ZERO_PARAMS:
+            for level in A_ZERO_LEVELS:
+                runs.append(["fourier", *params, f"--t={a_zero_ts(int(level))}", "--mode",
+                             "recursive", "--N", level, *fmt])
+        for params in (FOURIER_PARAMS[0], FOURIER_PARAMS[3], FOURIER_PARAMS[5]):
+            for level, t in PAST_INT64_MULTIPLES:
+                runs.append(["fourier", *params, f"--t={t}", "--mode", "recursive", "--N", level,
+                             *fmt])
+        for params in (FOURIER_PARAMS[0], FOURIER_PARAMS[3], A_ZERO_PARAMS[0]):
+            for t in ZERO_IN_RANGES:
+                runs.append(["fourier", *params, f"--t={t}", *fmt])
+                for level in ("0", "1", "64"):
+                    runs.append(["fourier", *params, f"--t={t}", "--mode", "recursive",
+                                 "--N", level, *fmt])
     for argv in (["fourier", "--params", "1", "2", "0", "1", "1", "--t", CHUNK_T[3]],
                  ["cdf", "--catalog", "identity", "--N", "20", "--grid", CHUNK_CDF[3]],
                  ["density", "--catalog", "cantor", "--grid", CHUNK_DENSITY[3][0], "--depth", "40"],
