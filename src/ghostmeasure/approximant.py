@@ -18,10 +18,10 @@ sweep (_masses_through) in which each index resumes the descent of the one
 before at the highest digit where the two differ, and reads its low digits
 from one table of the atoms below a node, affine in the node's value
 (sequence._subtree).  The exact atoms (Approximant.weights) are region N,
-sequence.eval_region, from the same table; they are built only when read,
-by tests that use them as the brute-force oracle.  The module uses no
-numpy.  The comb's Fourier coefficients mu_N^(t) come from
-fourier.coeff_table at level N, which builds no atoms.
+sequence.eval_region, from the same table; each read builds them anew and
+nothing keeps them, for they serve only as the tests' brute-force oracle.
+The module uses no numpy.  The comb's Fourier coefficients mu_N^(t) come
+from fourier.coeff_table at level N, which builds no atoms.
 
 DyadicInterval names the half-open interval left-closed at its bit prefix:
 bits x1..xi stand for [(0.x1..xi00...)_2, (0.x1..xi11...)_2), of Lebesgue
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Iterator, Union
 
@@ -86,8 +85,9 @@ class DyadicInterval(namedtuple("DyadicInterval", "bits")):
 
 
 class Approximant(namedtuple("Approximant", "params level total")):
-    """Immutable level-N comb mu_N: the sequence, the level and total = Sigma(N).
-    It keeps a __dict__, for the cached weights."""
+    """Immutable level-N comb mu_N: the sequence, the level and total = Sigma(N)."""
+
+    __slots__ = ()
 
     def __new__(cls, params: AffineParams, level: int, total: int):
         if total <= 0:
@@ -96,9 +96,9 @@ class Approximant(namedtuple("Approximant", "params level total")):
 
     _make = classmethod(_make_checked)
 
-    @cached_property
+    @property
     def weights(self) -> tuple[int, ...]:
-        """weights[n] = f(2^N + n): all 2^N atoms, built on first read and kept."""
+        """weights[n] = f(2^N + n): all 2^N atoms, built anew on every read."""
         return tuple(eval_region(self.params, self.level))
 
 

@@ -12,9 +12,10 @@
     ghostmeasure jsr-table --sweep 5
 
 Tables go to stdout or --out as CSV (17 significant digits, stable bytes)
-or JSON records, streamed in chunks of rows.  Exit codes: 0 ok, 1 numpy
-missing for a command that needs it, 2 domain error, 3 resource cap, 4 I/O;
-from the console script also 130 on SIGINT and 143 on SIGTERM.
+or JSON records, streamed in chunks of rows.  A command only writes, and
+fails by raising; main alone maps the outcome to an exit code: 0 ok, 1
+numpy missing for a command that needs it, 2 domain error, 3 resource cap,
+4 I/O; from the console script also 130 on SIGINT and 143 on SIGTERM.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def _add_threads_opt(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_params(args) -> sequence.AffineParams:
-    if getattr(args, "catalog", None):
+    if args.catalog:
         return sequence.catalog_lookup(args.catalog).params
     return sequence.AffineParams(*args.params)
 
@@ -173,7 +174,7 @@ def _parse_t_spec(spec: str) -> list[range]:
 # Subcommands
 # ----------------------------------------------------------------------
 
-def _cmd_eval(args, out) -> int:
+def _cmd_eval(args, out) -> None:
     params = _resolve_params(args)
     if args.region is not None:
         sep = ""
@@ -183,18 +184,16 @@ def _cmd_eval(args, out) -> int:
         out.write("\n")
     else:
         out.write(str(sequence.eval_f(params, args.n)) + "\n")
-    return 0
 
 
-def _cmd_classify(args, out) -> int:
+def _cmd_classify(args, out) -> None:
     params = _resolve_params(args)
     cls = ghost.classify(params)
     diag = linrep.spectral_diagnostic(params)
     out.write(f"{cls.case} {cls.describe()} log_ratio={_fmt_ratio(diag.log_ratio)}\n")
-    return 0
 
 
-def _cmd_cdf(args, out) -> int:
+def _cmd_cdf(args, out) -> None:
     params = _resolve_params(args)
     comb = approximant.build_comb(params, args.N)
     masses = approximant._grid_masses(comb, args.grid)
@@ -204,10 +203,9 @@ def _cmd_cdf(args, out) -> int:
                [m / total for m in itertools.islice(masses, _CHUNK)]]
               for lo in range(0, args.grid, _CHUNK))
     _emit(["x", "F"], chunks, args.format, out)
-    return 0
 
 
-def _cmd_fourier(args, out) -> int:
+def _cmd_fourier(args, out) -> None:
     params = _resolve_params(args)
     spans = _parse_t_spec(args.t)
     if args.mode != "limit" and args.N is None:
@@ -217,27 +215,25 @@ def _cmd_fourier(args, out) -> int:
     chunks = ([list(itertools.islice(ts, _CHUNK)), *(c[lo:lo + _CHUNK].tolist() for c in cols)]
               for lo in range(0, tab.re.size, _CHUNK))
     _emit(["t", "re", "im", "abs", "tail_bound"], chunks, args.format, out)
-    return 0
 
 
-def _cmd_wiener(args, out) -> int:
+def _cmd_wiener(args, out) -> None:
     params = _resolve_params(args)
     if args.n_max < args.n_min:
         raise DomainError("--n-max must be >= --n-min")
     levels = list(range(args.n_min, args.n_max + 1))
     prof = fourier.wiener_profile(params, levels, args.tol)
     _emit(["N", "W"], [[levels, [prof[l] for l in levels]]], args.format, out)
-    return 0
 
 
-def _cmd_density(args, out) -> int:
+def _cmd_density(args, out) -> None:
     params = _resolve_params(args)
     if args.bits is not None:
         est = ghost.density(params, args.bits, args.depth)
         iv = approximant.DyadicInterval.from_bits(args.bits)
         _emit(["x", "g", "tail_bound"], [[[float(iv.left)], [est.value], [est.tail_bound]]],
               args.format, out)
-        return 0
+        return
     grid = args.grid
     if grid < 2 or grid & (grid - 1):
         raise DomainError("--grid must be a power of two >= 2")
@@ -248,10 +244,9 @@ def _cmd_density(args, out) -> int:
     chunks = ([[k / grid for k in range(lo, lo + size)], [v / den for v in itertools.islice(nums, size)],
                [bound] * size] for lo in range(0, grid, size))
     _emit(["x", "g", "tail_bound"], chunks, args.format, out)
-    return 0
 
 
-def _cmd_interval(args, out) -> int:
+def _cmd_interval(args, out) -> None:
     params = _resolve_params(args)
     iv = approximant.DyadicInterval.from_bits(args.bits)
     if args.N is not None:
@@ -261,20 +256,18 @@ def _cmd_interval(args, out) -> int:
         m = ghost.interval_measure(params, iv)
         label = "mu"
     out.write(f"{label}(E_{iv}) = {m.numerator}/{m.denominator} = {float(m):.17g}\n")
-    return 0
 
 
-def _cmd_points(args, out) -> int:
+def _cmd_points(args, out) -> None:
     params = _resolve_params(args)
     if args.nmax < 0:
         raise DomainError("--nmax must be >= 0")
     rows = ((n, count, each / den, count * each / den, cumulative / den)
             for n, (count, each, cumulative, den) in enumerate(ghost._levels_2d(params, args.nmax)))
     _emit(["n", "count", "mass_each", "mass_level", "cumulative"], _chunks(rows), args.format, out)
-    return 0
 
 
-def _cmd_jsr_table(args, out) -> int:
+def _cmd_jsr_table(args, out) -> None:
     if args.sweep < 0:
         raise DomainError("--sweep must be >= 0")
 
@@ -289,7 +282,6 @@ def _cmd_jsr_table(args, out) -> int:
 
     _emit(["a0", "a1", "b0", "b1", "case", "kind", "rho", "rho_star", "log_ratio"], _chunks(rows()),
           args.format, out)
-    return 0
 
 
 # ----------------------------------------------------------------------
@@ -379,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _run_to_file(args) -> int:
+def _run_to_file(args) -> None:
     """Run the command into a temporary file beside --out, renamed over it on success.
 
     The temporary file takes the pid and the first free counter value as its
@@ -400,12 +392,11 @@ def _run_to_file(args) -> int:
             pass
     try:
         with open(fd, "w") as fh:
-            code = args.fn(args, fh)
+            args.fn(args, fh)
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise
-    return code
 
 
 def main(argv=None) -> int:
@@ -415,9 +406,11 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "out", None) is not None:
-            return _run_to_file(args)
-        return args.fn(args, sys.stdout)
+        if args.out is None:
+            args.fn(args, sys.stdout)
+        else:
+            _run_to_file(args)
+        return 0
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2

@@ -437,12 +437,10 @@ def _product_depths(params: AffineParams, tabs: np.ndarray, v2: np.ndarray, tol:
     if depth.max() > 1023:
         raise DomainError(_DEPTH_RANGE)
     tail = amax * TAU * tabs / (a * np.ldexp(1.0, depth))
-    # math.expm1 once per distinct argument (t and 2^a t at one key share
-    # theirs bit for bit), fed as floats by a memoryview, not a list:
-    # np.expm1 differs from it in the last bit for some arguments, which
-    # would change the printed bounds.
-    args, where = np.unique(tail, return_inverse=True)
-    return depth, np.fromiter(map(math.expm1, memoryview(args)), np.float64, args.size)[where]
+    # math.expm1, fed as floats by a memoryview, not a list: np.expm1
+    # differs from it in the last bit for some arguments, which would change
+    # the printed bounds.
+    return depth, np.fromiter(map(math.expm1, memoryview(tail)), np.float64, tail.size)
 
 
 def _held(ts) -> np.ndarray:

@@ -276,11 +276,12 @@ def test_c08_2d_mass_completeness():
         sums_ok &= partial + tail == total == 1
         sums_ok &= point_mass_tail(p, n_max) == tail
     comb = build_comb(p, 16)
+    weights = comb.weights
     worst = 0.0
     for bits in ("", "1", "01", "11", "001", "111", "0101", "110011"):
         e = DyadicInterval.from_bits(bits) if bits else DyadicInterval()
         idx = e.index << (16 - e.depth)
-        got = Fraction(comb.weights[idx], comb.total)
+        got = Fraction(weights[idx], comb.total)
         want = point_mass(p, bits)
         worst = max(worst, abs(float(got / want) - 1.0))
     ok = sums_ok and worst <= 1e-3

@@ -366,10 +366,11 @@ def test_point_mass_values():
 def test_point_mass_matches_comb_weights():
     p = AffineParams(3, 0, 0, 1, 1)
     comb = build_comb(p, 16)
+    weights = comb.weights
     for bits in ("", "1", "01", "11", "101", "0001", "110101"):
         e = DyadicInterval.from_bits(bits) if bits else DyadicInterval()
         idx = e.index << (16 - e.depth)
-        got = Fraction(comb.weights[idx], comb.total)
+        got = Fraction(weights[idx], comb.total)
         want = point_mass(p, bits)
         assert abs(got / want - 1) < Fraction(1, 1000)
 
@@ -382,10 +383,11 @@ def test_point_mass_mirror_orientation():
     assert point_mass(p, "1") == Fraction(1, 6)
     assert point_mass(p, "011") == Fraction(1, 54)
     comb = build_comb(p, 16)
+    weights = comb.weights
     for bits in ("", "1", "01", "11", "101"):
         e = DyadicInterval.from_bits(bits) if bits else DyadicInterval()
         idx = ((e.index << (16 - e.depth)) - 1) % 2**16
-        got = Fraction(comb.weights[idx], comb.total)
+        got = Fraction(weights[idx], comb.total)
         want = point_mass(p, bits)
         assert abs(got / want - 1) < Fraction(1, 1000)
 

@@ -1169,21 +1169,22 @@ def test_wiener_profile_matches_running_sum(p, top, tol):
 # Level-N coefficients against comb sums
 # ----------------------------------------------------------------------
 
-def fsum_direct(comb, t: int) -> complex:
-    """mu_N^(t) by compensated direct summation over the exact atoms.
+def fsum_direct(weights, total: int, t: int) -> complex:
+    """mu_N^(t) by compensated direct summation over the exact atoms weights
+    of a comb with that total.
 
     The angle of atom n is built from the exact residue (t*n mod 2^N), so no
     range-reduction error enters; the real and imaginary accumulations use
     math.fsum.  t = 0 (mod 2^N) returns exactly 1.  Atoms and total share a
     right shift when the total is beyond the double range.
     """
-    size = 1 << comb.level
+    size = len(weights)
     r = t % size
     if r == 0:
         return complex(1.0, 0.0)
-    shift = max(comb.total.bit_length() - 900, 0)
-    w = np.fromiter((x >> shift for x in comb.weights), dtype=float, count=size)
-    total = float(comb.total >> shift)
+    shift = max(total.bit_length() - 900, 0)
+    w = np.fromiter((x >> shift for x in weights), dtype=float, count=size)
+    total = float(total >> shift)
     n = np.arange(size, dtype=np.int64)
     frac = (r * n) % size
     ang = frac * (2.0 * np.pi / size)
@@ -1192,14 +1193,15 @@ def fsum_direct(comb, t: int) -> complex:
     return complex(re / total, im / total)
 
 
-def mp_error(comb, t: int, value: complex) -> float:
-    """|value - mu_N^(t)|, the coefficient as a plain DFT at 40 digits."""
+def mp_error(weights, total: int, t: int, value: complex) -> float:
+    """|value - mu_N^(t)|, the coefficient as a plain DFT at 40 digits over
+    the exact atoms weights of a comb with that total."""
     mpmath = pytest.importorskip("mpmath")
-    size = 1 << comb.level
+    size = len(weights)
     with mpmath.workdps(40):
         acc = mpmath.fsum(w * mpmath.expjpi(mpmath.mpf(-2 * (t * n % size)) / size)
-                          for n, w in enumerate(comb.weights))
-        return float(abs(mpmath.mpc(value.real, value.imag) - acc / comb.total))
+                          for n, w in enumerate(weights))
+        return float(abs(mpmath.mpc(value.real, value.imag) - acc / total))
 
 
 @st.composite
@@ -1230,10 +1232,12 @@ def comb_case(draw):
 
 
 def check_direct_case(case, error) -> None:
-    """coeff_table at level N and coeff_recursive agree, and error(comb, t,
-    value) <= the reported bound for every t (0 exactly where t = 0 mod 2^N)."""
+    """coeff_table at level N and coeff_recursive agree, and error(weights,
+    total, t, value) <= the reported bound for every t (0 exactly where
+    t = 0 mod 2^N), the comb's exact atoms built once for every t."""
     p, level, ts = case
     comb = build_comb(p, level)
+    weights = comb.weights
     tab = coeff_table(p, ts, level=level)
     for i, t in enumerate(ts):
         value = complex(tab.re[i], tab.im[i])
@@ -1243,13 +1247,14 @@ def check_direct_case(case, error) -> None:
             assert value == 1 and tab.tail_bound[i] == 0
         else:
             assert 0 < tab.tail_bound[i] < 1e-13
-            assert error(comb, t, value) <= tab.tail_bound[i], t
+            assert error(weights, comb.total, t, value) <= tab.tail_bound[i], t
 
 
 @PROPERTY
 @given(comb_case())
 def test_direct_table_within_bound_of_fsum(case):
-    check_direct_case(case, lambda comb, t, value: abs(value - fsum_direct(comb, t)))
+    check_direct_case(case, lambda weights, total, t, value:
+                      abs(value - fsum_direct(weights, total, t)))
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)

@@ -84,6 +84,13 @@ def test_record_behaviour(cls, fields, defaulted, text):
             assert rec == twin and not rec != twin and hash(rec) == hash(twin)
 
 
+def test_records_have_no_instance_dict():
+    # Every record is slotted: an instance holds its fields and nothing else.
+    assert len(RECORDS) == 11
+    for cls, fields, _, _ in RECORDS:
+        assert not hasattr(cls(**fields), "__dict__"), cls.__name__
+
+
 def test_make_and_replace_build_checked_records():
     assert DyadicInterval("01")._replace(bits="110") == DyadicInterval._make(["110"]) == ((1, 1, 0),)
     assert AffineParams(1, 2, 0, 1)._replace(f1=3) == AffineParams._make((1, 2, 0, 1, 3))
