@@ -66,39 +66,31 @@ def _column(col, fmt: str) -> tuple[str, list | tuple]:
                      f"or only strs, not {sorted(k.__name__ for k in kinds)}")
 
 
-# Rows per chunk of a streamed table: the most that a table command holds
-# as Python values at once.  Below 2^10 rows the peak RSS of a run of
-# tables barely falls further, while the per-chunk work grows.
+# Rows per chunk of a streamed table: _emit, which alone reads it, draws
+# this many rows at a time, the most that a table command holds as Python
+# values at once.  Below 2^10 rows the peak RSS of a run of tables barely
+# falls further, while the per-chunk work grows.
 _CHUNK = 1 << 10
 
 
-def _chunks(rows):
-    """The column chunks of a table given as an iterable of rows: _CHUNK rows
-    each, the last one shorter, and none for no rows.  It keeps no chunk it
-    has returned, so the writer holds one chunk at a time."""
-    rows = iter(rows)
-    return iter(lambda: list(zip(*itertools.islice(rows, _CHUNK))), [])
+def _emit(header: list[str], rows, fmt: str, out) -> None:
+    """Write a table, given as an iterable of row tuples of one value per
+    header key, as CSV or JSON, drawing _CHUNK rows at a time; a table of no
+    rows is an empty table.
 
-
-def _emit(header: list[str], chunks, fmt: str, out) -> None:
-    """Write a table, given as an iterable of chunks of rows, each chunk one
-    column of equal length per header key, as CSV or JSON.  A chunk of no
-    rows (no columns, or empty ones) writes nothing; a table of none is an
-    empty table.
-
-    Every row is one % template (see _column), fixed by the first chunk with
-    rows.  Each chunk's columns are checked before any of its rows is
-    written: a column that the first chunk refuses writes nothing at all, and
-    one that later takes another template raises ValueError after the rows
-    before it.  CSV is the header line and one line per row; JSON is byte for
-    byte json.dumps(records, indent=2) plus a newline.
+    Every row is one % template (see _column), fixed by the first chunk.
+    Each chunk's columns are checked before any of its rows is written: a
+    column that the first chunk refuses writes nothing at all, and one that
+    later takes another template raises ValueError after the rows before it.
+    A chunk is written with one %, its template repeated once per row.  CSV
+    is the header line and one line per row; JSON is byte for byte
+    json.dumps(records, indent=2) plus a newline.
     """
-    convs = None
-    for chunk in chunks:
-        if not (chunk and len(chunk[0])):
-            continue
-        kinds, cols = zip(*(_column(col, fmt) for col in chunk))
-        rows = zip(*cols)
+    rows, convs, width = iter(rows), None, len(header)
+    # Each chunk is drawn as one flat tuple of its values, so no row tuple
+    # outlives its draw; column i is every width-th value from i on.
+    while values := tuple(itertools.chain.from_iterable(itertools.islice(rows, _CHUNK))):
+        kinds, cols = zip(*(_column(values[i::width], fmt) for i in range(width)))
         if convs is None:
             convs = kinds
             if fmt == "csv":
@@ -110,13 +102,18 @@ def _emit(header: list[str], chunks, fmt: str, out) -> None:
                 keys = [json.encoder.encode_basestring_ascii(k).replace("%", "%%") for k in header]
                 record = "  {\n" + ",\n".join(f"    {k}: {c}" for k, c in zip(keys, convs)) + "\n  }"
                 first, row = "[\n" + record, ",\n" + record
-            out.write(first % next(rows))
+            template = first + row * (len(cols[0]) - 1)
         elif kinds != convs:
             raise ValueError(f"a {fmt} table column changes its kind between chunks: "
                              f"{','.join(convs)} then {','.join(kinds)}")
-        out.writelines(map(row.__mod__, rows))
-        # Let this chunk go before the producer makes the next one.
-        del chunk, cols, rows
+        else:
+            template = row * len(cols[0])
+        if fmt == "json" and "%s" in kinds:
+            # JSON strings are written from their encoded columns.
+            values = tuple(itertools.chain.from_iterable(zip(*cols)))
+        # Let the column slices go before the chunk's text is built.
+        del cols
+        out.write(template % values)
     if convs is None:
         out.write(",".join(header) + "\n" if fmt == "csv" else "[]\n")
     elif fmt == "json":
@@ -199,10 +196,7 @@ def _cmd_cdf(args, out) -> None:
     masses = approximant._grid_masses(comb, args.grid)
     # int / int is correctly rounded, as float(Fraction) is: the same doubles.
     last, total = args.grid - 1, comb.total
-    chunks = ([[k / last for k in range(lo, min(lo + _CHUNK, args.grid))],
-               [m / total for m in itertools.islice(masses, _CHUNK)]]
-              for lo in range(0, args.grid, _CHUNK))
-    _emit(["x", "F"], chunks, args.format, out)
+    _emit(["x", "F"], ((k / last, m / total) for k, m in enumerate(masses)), args.format, out)
 
 
 def _cmd_fourier(args, out) -> None:
@@ -211,10 +205,10 @@ def _cmd_fourier(args, out) -> None:
     if args.mode != "limit" and args.N is None:
         raise DomainError(f"--mode {args.mode} requires --N")
     tab = fourier.coeff_table(params, spans, args.tol, None if args.mode == "limit" else args.N)
-    ts, cols = itertools.chain.from_iterable(spans), (tab.re, tab.im, tab.abs, tab.tail_bound)
-    chunks = ([list(itertools.islice(ts, _CHUNK)), *(c[lo:lo + _CHUNK].tolist() for c in cols)]
-              for lo in range(0, tab.re.size, _CHUNK))
-    _emit(["t", "re", "im", "abs", "tail_bound"], chunks, args.format, out)
+    # A memoryview of a float64 array yields Python floats, as .tolist() does.
+    rows = zip(itertools.chain.from_iterable(spans),
+               *map(memoryview, (tab.re, tab.im, tab.abs, tab.tail_bound)))
+    _emit(["t", "re", "im", "abs", "tail_bound"], rows, args.format, out)
 
 
 def _cmd_wiener(args, out) -> None:
@@ -223,7 +217,7 @@ def _cmd_wiener(args, out) -> None:
         raise DomainError("--n-max must be >= --n-min")
     levels = list(range(args.n_min, args.n_max + 1))
     prof = fourier.wiener_profile(params, levels, args.tol)
-    _emit(["N", "W"], [[levels, [prof[l] for l in levels]]], args.format, out)
+    _emit(["N", "W"], [(l, prof[l]) for l in levels], args.format, out)
 
 
 def _cmd_density(args, out) -> None:
@@ -231,19 +225,16 @@ def _cmd_density(args, out) -> None:
     if args.bits is not None:
         est = ghost.density(params, args.bits, args.depth)
         iv = approximant.DyadicInterval.from_bits(args.bits)
-        _emit(["x", "g", "tail_bound"], [[[float(iv.left)], [est.value], [est.tail_bound]]],
-              args.format, out)
+        _emit(["x", "g", "tail_bound"], [(float(iv.left), est.value, est.tail_bound)], args.format, out)
         return
     grid = args.grid
     if grid < 2 or grid & (grid - 1):
         raise DomainError("--grid must be a power of two >= 2")
     nums, den, tail = ghost._density_grid(params, grid.bit_length() - 1, args.depth)
     # int / int is correctly rounded, as float(Fraction) is: the same doubles.
-    # grid and _CHUNK are powers of two, so every chunk has min(grid, _CHUNK) rows.
-    size, bound = min(grid, _CHUNK), tail / den
-    chunks = ([[k / grid for k in range(lo, lo + size)], [v / den for v in itertools.islice(nums, size)],
-               [bound] * size] for lo in range(0, grid, size))
-    _emit(["x", "g", "tail_bound"], chunks, args.format, out)
+    bound = tail / den
+    _emit(["x", "g", "tail_bound"], ((k / grid, v / den, bound) for k, v in enumerate(nums)),
+          args.format, out)
 
 
 def _cmd_interval(args, out) -> None:
@@ -264,7 +255,7 @@ def _cmd_points(args, out) -> None:
         raise DomainError("--nmax must be >= 0")
     rows = ((n, count, each / den, count * each / den, cumulative / den)
             for n, (count, each, cumulative, den) in enumerate(ghost._levels_2d(params, args.nmax)))
-    _emit(["n", "count", "mass_each", "mass_level", "cumulative"], _chunks(rows), args.format, out)
+    _emit(["n", "count", "mass_each", "mass_level", "cumulative"], rows, args.format, out)
 
 
 def _cmd_jsr_table(args, out) -> None:
@@ -280,8 +271,8 @@ def _cmd_jsr_table(args, out) -> None:
             diag = linrep.spectral_diagnostic(params)
             yield (a0, a1, b0, b1, cls.case, cls.describe(), diag.rho, diag.rho_star, diag.log_ratio)
 
-    _emit(["a0", "a1", "b0", "b1", "case", "kind", "rho", "rho_star", "log_ratio"], _chunks(rows()),
-          args.format, out)
+    _emit(["a0", "a1", "b0", "b1", "case", "kind", "rho", "rho_star", "log_ratio"], rows(), args.format,
+          out)
 
 
 # ----------------------------------------------------------------------

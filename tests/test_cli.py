@@ -1,7 +1,6 @@
 """Command-line surface: outputs, formats, exit codes, round-trips."""
 
 import argparse
-import io
 import json
 import math
 import os
@@ -15,7 +14,9 @@ import pytest
 
 import ghostmeasure
 from ghostmeasure import AffineParams, _util, ghost, build_comb, cdf_series, eval_f
-from ghostmeasure.cli import _emit, build_parser, main
+from ghostmeasure.cli import build_parser, main
+
+from oracles import emit_oracle
 
 
 def run_cli(capsys, *argv):
@@ -161,15 +162,13 @@ CDF_CASES = [
 
 def test_cdf_prints_the_floats_of_cdf_series(capsys):
     # The table divides the integer masses itself; int / int and
-    # float(Fraction) are both correctly rounded, so it prints the bytes of
-    # cdf_series' Fractions, each through float().
+    # float(Fraction) are both correctly rounded, so it prints what a
+    # per-value writer prints of cdf_series' Fractions, each through float().
     for source, params, level, grid in CDF_CASES:
         rows = cdf_series(build_comb(params, level), grid)
         for fmt in ("csv", "json"):
-            want = io.StringIO()
-            _emit(["x", "F"], [[[float(x) for x, _ in rows], [float(f) for _, f in rows]]], fmt, want)
             got = run_cli(capsys, "cdf", *source, "--N", str(level), "--grid", str(grid), "--format", fmt)
-            assert got == (0, want.getvalue(), ""), (source, level, grid, fmt)
+            assert got == (0, emit_oracle(["x", "F"], rows, fmt), ""), (source, level, grid, fmt)
 
 
 def test_cdf_resource_cap_exit_code(capsys):
@@ -376,11 +375,11 @@ print(json.dumps(peaks))
 
 
 def test_tables_stream_in_bounded_memory():
-    # Every table goes to the writer 2^10 rows at a time, so what its peak
+    # The writer draws every table 2^10 rows at a time, so what its peak
     # holds per row is fourier's coefficient arrays (about 190 bytes per t)
-    # and one chunk's Python values spread over 2^16 rows.  Measured peaks per
-    # row: 195, 3, 2 and 6 bytes; whole-table lists gave 234, 110, 74 and
-    # 288 bytes.
+    # and one chunk's Python values and text spread over 2^16 rows.  Measured
+    # peaks per row: 195, 4, 4 and 6 bytes; whole-table lists gave 234, 110,
+    # 74 and 288 bytes.
     cases = [(["fourier", "--params", "1", "2", "0", "1", "1", "--t", "1..65536"], 65536, 215),
              (["cdf", "--catalog", "identity", "--N", "20", "--grid", "65536"], 65536, 5),
              (["density", "--params", "2", "2", "0", "1", "1", "--grid", "65536", "--depth", "40"],

@@ -21,6 +21,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,12 +54,15 @@ from ghostmeasure import (
     sigma_norm,
     wiener_profile,
 )
+from ghostmeasure import cli
 from ghostmeasure.approximant import _masses_through
 from ghostmeasure.cli import _emit, main
 from ghostmeasure.fourier import (_BLOCK, TAU, _factor, _floats, _held, _level_bound, _mul_into,
                                   _phases, _signs, _unit_phase, _v2)
 from ghostmeasure.ghost import _density_grid
 from ghostmeasure.sequence import _block_sum
+
+from oracles import emit_oracle
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 FUZZ = settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -572,18 +576,6 @@ def test_cli_exit_codes(argv_):
 # Table writer against a per-value writer
 # ----------------------------------------------------------------------
 
-def emit_oracle(header: list[str], rows: list[tuple], fmt: str) -> str:
-    """The table as a per-value writer prints it: json.dumps of the records,
-    or each value through str (int, str) or format(x, ".17g") (float).  A
-    Fraction (the exact rows of the table oracles below) stands for its float."""
-    rows = [[float(v) if isinstance(v, Fraction) else v for v in row] for row in rows]
-    if fmt == "json":
-        return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
-    cells = [",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row)
-             for row in rows]
-    return "".join(line + "\n" for line in [",".join(header), *cells])
-
-
 def emit_refuses(cols: list[list], fmt: str) -> bool:
     """The writer's contract: each column holds only ints, only floats or
     only strs, and a JSON table no non-finite float."""
@@ -632,53 +624,54 @@ def tables(draw) -> tuple[list[str], list[list], str]:
 @example((["x", "y"], [[1, 2], [1.0, math.inf]], "json"))  # refused: inf in JSON
 def test_emit_matches_per_value_writer(table):
     header, cols, fmt = table
-    out = io.StringIO()
+    rows, out = list(zip(*cols)), io.StringIO()
     if emit_refuses(cols, fmt):
         with pytest.raises(ValueError):
-            _emit(header, [cols], fmt, out)
+            _emit(header, rows, fmt, out)
         assert out.getvalue() == ""
         return
-    _emit(header, [cols], fmt, out)
-    assert out.getvalue() == emit_oracle(header, list(zip(*cols)), fmt)
+    _emit(header, rows, fmt, out)
+    assert out.getvalue() == emit_oracle(header, rows, fmt)
 
 
 @st.composite
-def chunked_tables(draw) -> tuple[list[str], list[list[list]], str]:
-    """A table of tables() cut at drawn rows into chunks (empty ones among
-    them), and half the time one more chunk of 1-3 rows whose columns draw
-    their kinds afresh, so that a column may change its kind there."""
+def chunked_tables(draw) -> tuple[list[str], list[tuple], str, int]:
+    """The rows of a table of tables(), half the time followed by 1-3 rows
+    whose columns draw their kinds afresh, so that a column may change its
+    kind there, and a chunk size of 1-4 rows to write them in."""
     header, cols, fmt = draw(tables())
-    n = len(cols[0])
-    bounds = [0, *sorted(draw(st.lists(st.integers(0, n), max_size=4))), n]
-    chunks = [[col[lo:hi] for col in cols] for lo, hi in zip(bounds, bounds[1:])]
+    rows = list(zip(*cols))
     if draw(st.booleans()):
         kinds = [CELL_INTS, CELL_STRINGS, FINITE_FLOATS if fmt == "json" else CELL_FLOATS]
         m = draw(st.integers(1, 3))
-        chunks.append([draw(st.lists(draw(st.sampled_from(kinds)), min_size=m, max_size=m))
-                       for _ in header])
-    return header, chunks, fmt
+        rows += zip(*[draw(st.lists(draw(st.sampled_from(kinds)), min_size=m, max_size=m))
+                      for _ in header])
+    return header, rows, fmt, draw(st.integers(1, 4))
 
 
 @PROPERTY
 @given(chunked_tables())
-@example((["x", "y"], [], "json"))  # no chunks: an empty table
-@example((["x", "y"], [[], [[], []], [[1], ["a"]]], "json"))  # chunks of no rows
-@example((["x"], [[[1, 2]], [[3.0]]], "csv"))  # refused in the second chunk
-@example((["x"], [[[1.0, math.inf]], [[2.0]]], "json"))  # refused in the first chunk
-@example((["x"], [[["a", 1]], [["b"]]], "csv"))  # refused in the first chunk
+@example((["x", "y"], [], "json", 1))  # no rows: an empty table
+@example((["x"], [(1.0,), (math.inf,), (2.0,)], "json", 2))  # refused in the first chunk
+@example((["x"], [("a",), (1,), ("b",)], "csv", 2))  # refused in the first chunk
+@example((["x"], [(1,), (2,), (3.0,)], "csv", 2))  # refused in the second chunk
+@example((["x", "y"], [(1, "a"), (2, 'b"'), (3, "\u00e9")], "json", 2))  # strs across a chunk edge
 def test_emit_over_chunks_matches_the_whole_table(table):
-    header, chunks, fmt = table
-    whole = [[v for chunk in chunks if chunk for v in chunk[i]] for i in range(len(header))]
+    header, rows, fmt, size = table
     out = io.StringIO()
-    if emit_refuses(whole, fmt):
+    # Patched here, not by a fixture: a fixture is not reset between examples.
+    with mock.patch.object(cli, "_CHUNK", size):
+        if not emit_refuses(list(zip(*rows)), fmt):
+            _emit(header, rows, fmt, out)
+            assert out.getvalue() == emit_oracle(header, rows, fmt)
+            return
         with pytest.raises(ValueError):
-            _emit(header, chunks, fmt, out)
-        first = next(chunk for chunk in chunks if chunk and len(chunk[0]))
-        # A chunk is checked whole before any of its rows is written.
-        assert (out.getvalue() == "") == emit_refuses(first, fmt)
-        return
-    _emit(header, chunks, fmt, out)
-    assert out.getvalue() == emit_oracle(header, list(zip(*whole)), fmt)
+            _emit(header, rows, fmt, out)
+    # A chunk is checked whole before any of its rows is written, so the rows
+    # of every chunk before the refused one, and only those, are written.
+    done = next(hi for hi in range(0, len(rows), size) if emit_refuses(list(zip(*rows[:hi + size])), fmt))
+    want = emit_oracle(header, rows[:done], fmt) if done else ""
+    assert out.getvalue() == (want[:-len("\n]\n")] if done and fmt == "json" else want)
 
 
 def cli_output(argv_: list[str]) -> str:

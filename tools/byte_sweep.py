@@ -2,6 +2,7 @@
 
     python3 tools/byte_sweep.py OLD_SRC NEW_SRC
     python3 tools/byte_sweep.py OLD_SRC NEW_SRC --argvs runs.json
+    python3 tools/byte_sweep.py OLD_SRC NEW_SRC --python /path/to/python3.13
 
 OLD_SRC and NEW_SRC are `src/` directories, each holding a `ghostmeasure`
 package (say, one from `git archive` of the parent commit and the working
@@ -52,9 +53,15 @@ at N = 1, 2, 63, 64 and 65 over t at and beside the multiples of 2^(N-1),
 inside and past int64; level-N tables (N = 1, 5, 40 and 63) whose `--t`
 mixes multiples of 2^N past int64 with int64 t, so the table is held as
 Python ints while every t that runs fits in int64; and t = 0 inside
-ranges in limit mode and at N = 0, 1 and 64.  Last come `interval` and
-`classify`, each with and without `--out`.  `--argvs`
-replaces the list with a JSON list of argv lists.
+ranges in limit mode and at N = 0, 1 and 64.  Then come `interval` and
+`classify`, each with and without `--out`, and last `--help` for the
+program and for each of its nine commands.  `--argvs` replaces the list
+with a JSON list of argv lists.
+
+The old tree runs under this interpreter, the new one under `--python EXE`
+(by default this one too), so one change can be checked across
+interpreters.  Where EXE cannot import numpy, the `fourier` and `wiener`
+argvs are left out, and the count left out is printed.
 
 Some runs are expected mismatches against older trees: A = 0 with
 b0 = 10^400 at N = 3 (exit 1 with `OverflowError` where the A = 0 branch
@@ -65,7 +72,9 @@ t = 2^1024 run (exit 2 where a homogeneous scale past the double range is
 refused), the four runs past the int-to-str cap (exit 1 with
 `ValueError` where the cap is not lifted) and `wiener` at `--n-min -1`
 with `--n-max` past the cap (exit 3 where the cap is checked before the
-sign).  Every mismatch is printed with its argv and the parts that differ;
+sign).  Across interpreters, the program's `--help` differs between Python
+3.11 and 3.13, whose argparse lays out the list of commands otherwise.
+Every mismatch is printed with its argv and the parts that differ;
 the exit code is 1 on any mismatch, 0 otherwise.  Standard library only.
 """
 
@@ -214,6 +223,9 @@ PAST_INT64_MULTIPLES = [("1", f"1..20,{2**64},{-3 * 2**70}"), ("5", f"-40..40,{2
                         ("40", f"{2**63 - 9}..{2**63 - 1},{2**80}"),
                         ("63", f"-9..9,{2**63},{-(2**64)},{2**63 - 1}")]
 ZERO_IN_RANGES = ["-70..70", f"-5..5,{2**64 - 2}..{2**64 + 2}"]
+# The program's commands, each also run with --help.
+COMMANDS = ["eval", "classify", "cdf", "fourier", "wiener", "density", "interval", "points",
+            "jsr-table"]
 
 
 def a_zero_ts(level: int) -> str:
@@ -228,8 +240,8 @@ def a_zero_ts(level: int) -> str:
 def sweep() -> list[list[str]]:
     """The README examples, then the eval --region, cdf, fourier, wiener and
     density runs, then the points and jsr-table runs, the streamed tables at
-    the chunk edges, the fourier runs by 2-adic valuation, and the interval
-    and classify runs."""
+    the chunk edges, the fourier runs by 2-adic valuation, the interval
+    and classify runs, and the --help runs."""
     runs = list(README)
     for params in CDF_PARAMS:
         for level in ("0", "1", "2", "5", "12", "13"):
@@ -361,12 +373,15 @@ def sweep() -> list[list[str]]:
             runs.append(["interval", *args, *out])
         for params in CLASSIFY_PARAMS:
             runs.append(["classify", *params, *out])
+    runs.append(["--help"])
+    for command in COMMANDS:
+        runs.append([command, "--help"])
     return runs
 
 
-def run_tree(src: Path, argvs: list[list[str]]) -> list[dict]:
+def run_tree(src: Path, argvs: list[list[str]], python: str) -> list[dict]:
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", WORKER], input=json.dumps(argvs), env=env,
+    proc = subprocess.run([python, "-c", WORKER], input=json.dumps(argvs), env=env,
                           capture_output=True, text=True)
     if proc.returncode:
         sys.exit(f"worker for {src} failed:\n{proc.stderr}")
@@ -378,13 +393,24 @@ def main(argv=None) -> int:
     ap.add_argument("old", type=Path, help="src/ directory of the reference tree")
     ap.add_argument("new", type=Path, help="src/ directory of the tree under test")
     ap.add_argument("--argvs", type=Path, help="JSON list of argv lists to run instead")
+    ap.add_argument("--python", metavar="EXE", default=sys.executable,
+                    help="interpreter for the new tree (default: this one)")
     args = ap.parse_args(argv)
     for src in (args.old, args.new):
         if not (src / "ghostmeasure" / "cli.py").is_file():
             ap.error(f"{src} holds no ghostmeasure/cli.py")
     argvs = json.loads(args.argvs.read_text()) if args.argvs else sweep()
+    try:
+        no_numpy = subprocess.run([args.python, "-c", "import numpy"], capture_output=True).returncode
+    except OSError as exc:
+        ap.error(f"--python {args.python}: {exc}")
+    if no_numpy:
+        kept = [argv for argv in argvs if argv[0] not in ("fourier", "wiener")]
+        print(f"{args.python} has no numpy: left out {len(argvs) - len(kept)} fourier and wiener runs")
+        argvs = kept
     with ThreadPoolExecutor(2) as pool:
-        old, new = pool.map(lambda src: run_tree(src.resolve(), argvs), (args.old, args.new))
+        old, new = pool.map(run_tree, (args.old.resolve(), args.new.resolve()), (argvs, argvs),
+                            (sys.executable, args.python))
     mismatches = 0
     for argv, a, b in zip(argvs, old, new):
         parts = [k for k in a if a[k] != b[k]]
